@@ -1,33 +1,27 @@
 //! Overhead of the observability layer on the engine's hot path
 //! (criterion-free, `xsi_bench::micro`).
 //!
-//! Five configurations, each timing the same insert+delete pair of a
+//! Four configurations, each timing the same insert+delete pair of a
 //! pooled IDREF edge against a 1-index:
 //!
 //! 1. `direct index` — no engine, no obs: the pre-engine baseline.
 //! 2. `engine / obs off` — the instrumented engine with the hub
 //!    disabled (the default). The acceptance target: this must stay
 //!    within noise of (1) plus the engine's own dispatch cost, because
-//!    every callsite is a single `is_active()` branch.
-//! 3. `engine / null recorder` — recorder installed but discarding;
-//!    exercises event construction + clock reads. Span collection is
-//!    OFF here, so this also pins the self-overhead contract for the
-//!    span layer: every `SpanGuard::enter` in the hot path is one TLS
-//!    read + branch, no clock read, no allocation — (3) must stay
-//!    within noise of its pre-span-layer cost (compare against (2)'s
-//!    delta; DESIGN.md §12).
-//! 4. `engine / flight + metrics` — the full pipeline: ring buffer
-//!    retention and registry aggregation per event.
-//! 5. `engine / null recorder + spans` — span collection armed, tree
-//!    drained every 1024 pairs: the marginal cost of actually recording
-//!    the causal span tree on top of (3).
+//!    every callsite is a single `is_active()` branch and every
+//!    `SpanGuard::enter` one TLS read + branch, no clock read, no
+//!    allocation (DESIGN.md §12).
+//! 3. `engine / metrics` — the registry on: one clock read per index
+//!    dispatch and the typed metric filing from each `UpdateStats`.
+//! 4. `engine / spans` — span collection armed, tree drained every
+//!    1024 pairs: the marginal cost of recording the causal span tree.
 //!
 //! Run with `cargo bench --features bench --bench obs_overhead`.
 //! Record the medians in EXPERIMENTS.md §observability when they move.
 
 use xsi_bench::micro::{bench, group};
 use xsi_core::obs::span;
-use xsi_core::{FlightRecorder, NullRecorder, OneIndex, UpdateEngine};
+use xsi_core::{OneIndex, UpdateEngine};
 use xsi_graph::{EdgeKind, Graph, NodeId};
 use xsi_workload::{generate_xmark, EdgePool, XmarkParams};
 
@@ -45,16 +39,10 @@ fn setup() -> (Graph, Vec<(NodeId, NodeId)>) {
     (g, edges)
 }
 
-fn engine_with(
-    recorder: Option<Box<dyn xsi_core::Recorder>>,
-    metrics: bool,
-) -> (UpdateEngine, Vec<(NodeId, NodeId)>) {
+fn engine_with(metrics: bool) -> (UpdateEngine, Vec<(NodeId, NodeId)>) {
     let (g, edges) = setup();
     let mut engine = UpdateEngine::new(g);
     engine.register(Box::new(OneIndex::build(engine.graph())));
-    if let Some(r) = recorder {
-        engine.obs_mut().set_recorder(r);
-    }
     if metrics {
         engine.obs_mut().enable_metrics();
     }
@@ -76,7 +64,7 @@ fn main() {
     });
 
     // 2. Engine with the hub disabled (default construction).
-    let (mut engine, edges) = engine_with(None, false);
+    let (mut engine, edges) = engine_with(false);
     let mut i = 0usize;
     bench("pair / engine, obs off", || {
         let (u, v) = edges[i % edges.len()];
@@ -85,38 +73,28 @@ fn main() {
         engine.delete_edge(u, v).unwrap();
     });
 
-    // 3. Null recorder: events constructed, then discarded.
-    let (mut engine, edges) = engine_with(Some(Box::new(NullRecorder)), false);
+    // 3. Metrics registry on: timed dispatches filed per pair.
+    let (mut engine, edges) = engine_with(true);
     let mut i = 0usize;
-    bench("pair / engine, null recorder", || {
+    bench("pair / engine, metrics", || {
         let (u, v) = edges[i % edges.len()];
         i += 1;
         engine.insert_edge(u, v, EdgeKind::IdRef).unwrap();
         engine.delete_edge(u, v).unwrap();
     });
 
-    // 4. Flight recorder + metrics registry: the full pipeline.
-    let (mut engine, edges) = engine_with(Some(Box::new(FlightRecorder::new(256))), true);
-    let mut i = 0usize;
-    bench("pair / engine, flight + metrics", || {
-        let (u, v) = edges[i % edges.len()];
-        i += 1;
-        engine.insert_edge(u, v, EdgeKind::IdRef).unwrap();
-        engine.delete_edge(u, v).unwrap();
-    });
-
-    // 5. Null recorder with span collection armed: the live span tree.
-    // Drained every 1024 pairs so the collector Vec stays warm instead
-    // of measuring its growth reallocations.
-    let (mut engine, edges) = engine_with(Some(Box::new(NullRecorder)), false);
+    // 4. Span collection armed: the live span tree. Drained every 1024
+    // pairs so the collector Vec stays warm instead of measuring its
+    // growth reallocations.
+    let (mut engine, edges) = engine_with(false);
     let mut i = 0usize;
     span::begin_collection();
-    bench("pair / engine, null recorder + spans", || {
+    bench("pair / engine, spans", || {
         let (u, v) = edges[i % edges.len()];
         i += 1;
         engine.insert_edge(u, v, EdgeKind::IdRef).unwrap();
         engine.delete_edge(u, v).unwrap();
-        if i % 1024 == 0 {
+        if i.is_multiple_of(1024) {
             let _ = span::end_collection();
             span::begin_collection();
         }

@@ -1,5 +1,5 @@
-//! `xsi-bench` — instrumented update-pipeline benchmark with metrics,
-//! trace, and span export.
+//! `xsi-bench` — instrumented update-pipeline benchmark with metrics
+//! and span export.
 //!
 //! Drives a mixed insert/delete workload through the [`UpdateEngine`]
 //! with the observability layer enabled, then exports:
@@ -8,8 +8,6 @@
 //!   engine stats, and the full metrics registry
 //!   (`format: "xsi-metrics-v1"`); store reports are published
 //!   automatically at the export point.
-//! * `--trace-out <path>` — the event stream as JSON Lines (one object
-//!   per event, streamed through [`JsonlWriter`]).
 //! * `--prom-out <path>` — Prometheus text exposition of the same
 //!   registry.
 //! * `--chrome-trace-out <path>` — the causal span tree as Chrome
@@ -27,13 +25,11 @@
 //! export point, so every artifact carries them whether or not the
 //! corresponding flag was passed.
 //!
-//! The postmortem black box is always armed: if the workload panics,
-//! the flight-recorder tail, the open span stack, and a last-gasp mem
-//! report are written as JSONL to `--postmortem-out`
+//! Span collection is armed for the whole run, so the postmortem black
+//! box always has both halves: if the workload panics, the open span
+//! stack, the stable-line tail of the last closed spans, and a
+//! last-gasp mem report are written as JSONL to `--postmortem-out`
 //! (default `xsi_bench.postmortem.jsonl`) and the run exits 101.
-//!
-//! Span collection is armed only when one of the span exports is
-//! requested, so plain metric runs keep the zero-cost disabled path.
 //! Validate the outputs offline with the sibling `xsi-metrics-check`
 //! binary.
 //!
@@ -44,18 +40,16 @@
 
 #![forbid(unsafe_code)]
 
-use std::fs::File;
-use std::io::BufWriter;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
 use xsi_bench::cli::Args;
 use xsi_bench::memjson::{collect_mem_rows, compact, mem_artifact_json};
 use xsi_core::obs::json::escape_into;
-use xsi_core::obs::{chrome_trace_json, folded_stacks, postmortem, span, FoldWeight, SpanKind};
-use xsi_core::{
-    AkIndex, FlightRecorder, IndexHandle, JsonlWriter, OneIndex, PropagateOneIndex, UpdateEngine,
+use xsi_core::obs::{
+    chrome_trace_json, folded_stacks, postmortem, span, stable_lines, FoldWeight, SpanKind,
 };
+use xsi_core::{AkIndex, IndexHandle, OneIndex, PropagateOneIndex, UpdateEngine};
 use xsi_graph::EdgeKind;
 use xsi_workload::updates::EdgePool;
 use xsi_workload::xmark::{generate_xmark, XmarkParams};
@@ -67,10 +61,13 @@ fn write_or_die(path: &str, contents: &str) {
     }
 }
 
+/// How many stable span lines the black box carries.
+const BLACKBOX_TAIL: usize = 256;
+
 /// The unwind path: combine the postmortem capture with whatever the
-/// engine can still tell us (flight tail, a last-gasp mem report —
-/// itself guarded, the engine may be mid-mutation) into the JSONL
-/// black box, then exit 101.
+/// run can still tell us (the closed spans' stable-line tail, a
+/// last-gasp mem report — itself guarded, the engine may be
+/// mid-mutation) into the JSONL black box, then exit 101.
 fn dump_blackbox_and_die(
     path: &str,
     engine: &UpdateEngine,
@@ -78,7 +75,12 @@ fn dump_blackbox_and_die(
     scale: f64,
     seed: u64,
 ) -> ! {
-    let tail = engine.obs().stable_trace();
+    // The unwind closed every open span; the collection ends here.
+    let tail = stable_lines(
+        &span::end_collection(),
+        engine.obs().families(),
+        BLACKBOX_TAIL,
+    );
     let mem = catch_unwind(AssertUnwindSafe(|| {
         compact(&mem_artifact_json(
             &collect_mem_rows(engine, handles),
@@ -107,9 +109,7 @@ fn main() {
     let seed = args.u64("seed", 42);
     let pairs = args.usize("pairs", 2000);
     let k = args.usize("k", 2);
-    let flight_cap = args.usize("flight-cap", 256);
     let metrics_out = args.str("metrics-out").map(str::to_owned);
-    let trace_out = args.str("trace-out").map(str::to_owned);
     let prom_out = args.str("prom-out").map(str::to_owned);
     let chrome_out = args.str("chrome-trace-out").map(str::to_owned);
     let folded_out = args.str("folded-out").map(str::to_owned);
@@ -143,36 +143,16 @@ fn main() {
         engine.register(Box::new(PropagateOneIndex::build(engine.graph()))),
     ];
 
-    // Metrics always on for this binary; the recorder depends on flags.
+    // Metrics and span collection are always on for this binary.
     engine.obs_mut().enable_metrics();
-    if let Some(path) = trace_out.as_deref() {
-        let f = File::create(path).unwrap_or_else(|e| {
-            eprintln!("xsi-bench: cannot create {path}: {e}");
-            std::process::exit(1);
-        });
-        let families = engine.obs().families().to_vec();
-        engine
-            .obs_mut()
-            .set_recorder(Box::new(JsonlWriter::new(BufWriter::new(f), families)));
-    } else {
-        engine
-            .obs_mut()
-            .set_recorder(Box::new(FlightRecorder::new(flight_cap)));
-    }
-
-    // Arm span collection only when a span export was requested —
-    // otherwise every callsite stays on the disabled one-branch path.
-    let collect_spans = chrome_out.is_some() || folded_out.is_some();
-    if collect_spans {
-        span::begin_collection();
-    }
+    span::begin_collection();
 
     // Mixed workload: alternate insert/delete of pooled IDREF edges,
     // exactly the Figure 11 regime but driven through the engine.
     let t0 = Instant::now();
     // The engine stays outside the unwind boundary so the black-box
-    // writer can still read its flight recorder and mem reports after
-    // a workload panic.
+    // writer can still read its family table and mem reports after a
+    // workload panic.
     let applied = match catch_unwind(AssertUnwindSafe(|| {
         let mut applied = 0usize;
         for _ in 0..pairs {
@@ -210,46 +190,42 @@ fn main() {
     // them. The snapshots themselves are dropped immediately.
     let _ = engine.freeze();
 
-    if collect_spans {
-        let tree = span::end_collection();
-        let families = engine.obs().families().to_vec();
-        // Accounting check for the span substrate: the sum of
-        // CompoundProcess durations (self + children) against the
-        // engine's recorded split+merge phase nanos, aggregated over
-        // every registered family.
-        let phase_nanos: u64 = handles
-            .iter()
-            .map(|&h| {
-                let s = engine.index_stats(h);
-                s.split_nanos + s.merge_nanos
-            })
-            .sum();
-        let compound_nanos = tree.kind_nanos(SpanKind::CompoundProcess);
-        let pct = if phase_nanos > 0 {
-            100.0 * compound_nanos as f64 / phase_nanos as f64
-        } else {
-            100.0
-        };
-        eprintln!(
-            "xsi-bench: {} spans ({} dropped); CompoundProcess covers {:.1}% of split/merge phase nanos",
-            tree.len(),
-            tree.dropped,
-            pct
-        );
-        if let Some(path) = chrome_out.as_deref() {
-            write_or_die(path, &chrome_trace_json(&tree, &families));
-            eprintln!("xsi-bench: wrote chrome trace to {path}");
-        }
-        if let Some(path) = folded_out.as_deref() {
-            write_or_die(
-                path,
-                &folded_stacks(&tree, &families, FoldWeight::SelfNanos),
-            );
-            eprintln!("xsi-bench: wrote folded stacks to {path}");
-        }
+    let tree = span::end_collection();
+    let families = engine.obs().families().to_vec();
+    // Accounting check for the span substrate: the sum of
+    // CompoundProcess durations (self + children) against the
+    // engine's recorded split+merge phase nanos, aggregated over
+    // every registered family.
+    let phase_nanos: u64 = handles
+        .iter()
+        .map(|&h| {
+            let s = engine.index_stats(h);
+            s.split_nanos + s.merge_nanos
+        })
+        .sum();
+    let compound_nanos = tree.kind_nanos(SpanKind::CompoundProcess);
+    let pct = if phase_nanos > 0 {
+        100.0 * compound_nanos as f64 / phase_nanos as f64
+    } else {
+        100.0
+    };
+    eprintln!(
+        "xsi-bench: {} spans ({} dropped); CompoundProcess covers {:.1}% of split/merge phase nanos",
+        tree.len(),
+        tree.dropped,
+        pct
+    );
+    if let Some(path) = chrome_out.as_deref() {
+        write_or_die(path, &chrome_trace_json(&tree, &families));
+        eprintln!("xsi-bench: wrote chrome trace to {path}");
     }
-
-    engine.obs_mut().flush();
+    if let Some(path) = folded_out.as_deref() {
+        write_or_die(
+            path,
+            &folded_stacks(&tree, &families, FoldWeight::SelfNanos),
+        );
+        eprintln!("xsi-bench: wrote folded stacks to {path}");
+    }
 
     // Publish the store + mem + quality reports exactly once at the
     // export point — every artifact below (prometheus text, metrics
@@ -292,10 +268,6 @@ fn main() {
             "  \"engine_update_seconds\": {:.6},\n",
             stats.update_time.as_secs_f64()
         ));
-        out.push_str(&format!(
-            "  \"events_emitted\": {},\n",
-            engine.obs().events_emitted()
-        ));
         out.push_str("  \"families\": [");
         for (i, name) in engine.obs().families().iter().enumerate() {
             if i > 0 {
@@ -311,14 +283,5 @@ fn main() {
         out.push_str("\n}\n");
         write_or_die(path, &out);
         eprintln!("xsi-bench: wrote metrics to {path}");
-    }
-
-    if let Some(path) = trace_out.as_deref() {
-        // Dropping the recorder flushes the BufWriter; any latched I/O
-        // error was already reported through `flush` above.
-        if let Some(rec) = engine.obs_mut().take_recorder() {
-            drop(rec);
-        }
-        eprintln!("xsi-bench: wrote trace to {path}");
     }
 }

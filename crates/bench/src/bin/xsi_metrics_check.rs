@@ -3,7 +3,7 @@
 //! reader and exits non-zero on the first violation.
 //!
 //! ```text
-//! xsi_metrics_check [--metrics m.json] [--trace t.jsonl] [--prom m.prom]
+//! xsi_metrics_check [--metrics m.json] [--prom m.prom]
 //!                   [--chrome-trace t.json] [--bench BENCH.json]
 //!                   [--sarif report.sarif] [--mem mem.json]
 //! ```
@@ -32,33 +32,17 @@ fn fail(msg: &str) -> ExitCode {
 
 fn main() -> ExitCode {
     let args = Args::parse_env();
-    if [
-        "metrics",
-        "trace",
-        "prom",
-        "chrome-trace",
-        "bench",
-        "sarif",
-        "mem",
-    ]
-    .iter()
-    .all(|f| args.str(f).is_none())
+    if ["metrics", "prom", "chrome-trace", "bench", "sarif", "mem"]
+        .iter()
+        .all(|f| args.str(f).is_none())
     {
         return fail(
-            "nothing to check: pass --metrics / --trace / --prom / --chrome-trace / --bench / --sarif / --mem",
+            "nothing to check: pass --metrics / --prom / --chrome-trace / --bench / --sarif / --mem",
         );
     }
 
     if let Some(metrics_path) = args.str("metrics") {
         if let Some(code) = check_metrics(metrics_path) {
-            return code;
-        }
-    }
-
-    // Optional JSONL trace: every line parses, carries the event keys,
-    // and seq is strictly increasing.
-    if let Some(trace_path) = args.str("trace") {
-        if let Some(code) = check_jsonl_trace(trace_path) {
             return code;
         }
     }
@@ -405,7 +389,6 @@ fn check_metrics(metrics_path: &str) -> Option<ExitCode> {
         "wall_seconds",
         "engine_ops",
         "engine_update_seconds",
-        "events_emitted",
         "families",
         "metrics",
     ] {
@@ -482,49 +465,6 @@ fn check_metrics(metrics_path: &str) -> Option<ExitCode> {
         gauges.len(),
         histograms.len()
     );
-    None
-}
-
-/// Validates a JSONL event trace: every line parses, carries the event
-/// keys, and `seq` is strictly increasing.
-fn check_jsonl_trace(trace_path: &str) -> Option<ExitCode> {
-    let text = match std::fs::read_to_string(trace_path) {
-        Ok(t) => t,
-        Err(e) => return Some(fail(&format!("cannot read {trace_path}: {e}"))),
-    };
-    let mut last_seq: Option<u64> = None;
-    let mut lines = 0usize;
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let Ok(ev) = Json::parse(line) else {
-            return Some(fail(&format!("{trace_path}:{}: not valid JSON", i + 1)));
-        };
-        let Some(seq) = ev.get("seq").and_then(Json::as_u64) else {
-            return Some(fail(&format!("{trace_path}:{}: missing seq", i + 1)));
-        };
-        if ev.get("callsite").and_then(Json::as_u64).is_none() {
-            return Some(fail(&format!("{trace_path}:{}: missing callsite", i + 1)));
-        }
-        if ev.get("kind").and_then(Json::as_str).is_none() {
-            return Some(fail(&format!("{trace_path}:{}: missing kind", i + 1)));
-        }
-        if let Some(prev) = last_seq {
-            if seq <= prev {
-                return Some(fail(&format!(
-                    "{trace_path}:{}: seq {seq} not increasing (prev {prev})",
-                    i + 1
-                )));
-            }
-        }
-        last_seq = Some(seq);
-        lines += 1;
-    }
-    if lines == 0 {
-        return Some(fail(&format!("{trace_path}: empty trace")));
-    }
-    println!("xsi-metrics-check: {trace_path}: ok ({lines} events)");
     None
 }
 

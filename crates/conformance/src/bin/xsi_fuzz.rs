@@ -210,17 +210,22 @@ fn fuzz(args: &Args) -> i32 {
 /// write; and every written line must re-parse with the in-repo JSON
 /// reader. Exit 0 only when the whole loop closes.
 fn postmortem_selftest(out: &std::path::Path) -> i32 {
+    use xsi_conformance::TRACE_CAP;
     use xsi_core::obs::json::Json;
     use xsi_core::obs::postmortem;
     use xsi_core::obs::span::{self, SpanGuard, SpanKind};
+    use xsi_core::obs::stable_lines;
 
     postmortem::clear();
     span::begin_collection();
     let unwound = std::panic::catch_unwind(|| {
         let _sp = SpanGuard::enter(SpanKind::Op);
+        let scan = SpanGuard::enter(SpanKind::KernelScan);
+        scan.add_elems(1);
         panic!("postmortem selftest: planted panic");
     });
-    let _ = span::end_collection();
+    // The unwind closed both spans: their stable lines are the tail.
+    let tail = stable_lines(&span::end_collection(), &[], TRACE_CAP);
     if unwound.is_ok() {
         eprintln!("postmortem-selftest: the planted panic did not fire");
         return 1;
@@ -249,7 +254,6 @@ fn postmortem_selftest(out: &std::path::Path) -> i32 {
         return 1;
     }
     let path = out.join("postmortem-selftest.jsonl");
-    let tail = vec!["{\"event\":\"selftest\"}".to_string()];
     let written =
         match postmortem::write_blackbox(&path, Some(&cap), &tail, Some("{\"total_bytes\":0}")) {
             Ok(n) => n,
@@ -311,12 +315,12 @@ fn report_failure(scenario: &Scenario, args: &Args) -> i32 {
         result.probes,
         result.failure
     );
-    // Re-run the shrunken scenario with the flight recorder on so the
+    // Re-run the shrunken scenario with span collection on so the
     // reproducer carries the engine's own account of the failing op.
     let (_, trace) = run_scenario_traced(&result.scenario);
     // Panic failures also get the black box: the silent hook captured
-    // the traced re-run's panic site + open spans, and the flight tail
-    // above is exactly the pre-crash event stream.
+    // the traced re-run's panic site + open spans, and the trace tail
+    // above ends with the spans the crashing op closed.
     if let Some(cap) = xsi_core::obs::postmortem::last_capture() {
         let bb = args.out.join("blackbox.jsonl");
         match xsi_core::obs::postmortem::write_blackbox(&bb, Some(&cap), &trace, None) {
@@ -358,7 +362,7 @@ fn write_repro(
     let mut body = scenario.to_replay();
     if !trace.is_empty() {
         body.push_str(&format!(
-            "# flight-recorder trace: last {} engine events before the conviction\n\
+            "# span trace: last {} stable lines before the conviction\n\
              # (informational; `--replay` re-derives and cross-checks it)\n",
             trace.len()
         ));
@@ -397,7 +401,7 @@ fn replay_mode(path: &std::path::Path) -> i32 {
     // embedded trace is informational only there.
     if !embedded.is_empty() && outcome.is_err() && embedded != regenerated {
         println!(
-            "replay FAILED: regenerated trace ({} events) diverges from the embedded one ({})",
+            "replay FAILED: regenerated trace ({} lines) diverges from the embedded one ({})",
             regenerated.len(),
             embedded.len()
         );
@@ -482,11 +486,11 @@ fn smoke_one(name: &str, fault: FaultSpec, args: &Args) -> Result<String, String
         ));
     }
 
-    // 3. Write the reproducer (with its flight-recorder trace) and
+    // 3. Write the reproducer (with its span trace) and
     //    replay it from disk.
     let (_, trace) = run_scenario_traced(&result.scenario);
     if trace.is_empty() {
-        return Err("traced re-run produced an empty flight-recorder trace".into());
+        return Err("traced re-run produced an empty span trace".into());
     }
     let (txt, rs) = write_repro(
         &result.scenario,
@@ -521,7 +525,7 @@ fn smoke_one(name: &str, fault: FaultSpec, args: &Args) -> Result<String, String
     }
 
     Ok(format!(
-        "caught as '{}', shrunk {} → {} ops in {} probes, {} trace events, replayed from {} (test: {})",
+        "caught as '{}', shrunk {} → {} ops in {} probes, {} trace lines, replayed from {} (test: {})",
         result.failure.check,
         scenario.ops.len(),
         result.scenario.ops.len(),

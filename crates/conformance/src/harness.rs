@@ -38,12 +38,12 @@
 use crate::fault::{one_index_canonical, one_index_partition, FaultyOneIndex};
 use crate::scenario::{Scenario, ScenarioOp};
 use crate::view::DerivedView;
-use std::collections::HashSet;
+use std::collections::{HashSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use xsi_core::obs::event::EventPayload;
+use xsi_core::obs::{span, stable_lines};
 use xsi_core::{
-    check, reference, AkIndex, FlightRecorder, IndexHandle, IndexSnapshot, NodeRef, OneIndex,
-    PropagateOneIndex, SimpleAkIndex, StructuralIndex, UpdateEngine, UpdateOp,
+    check, reference, AkIndex, IndexHandle, IndexSnapshot, NodeRef, OneIndex, PropagateOneIndex,
+    SimpleAkIndex, StructuralIndex, UpdateEngine, UpdateOp,
 };
 use xsi_graph::{is_acyclic, EdgeKind, Graph, NodeId};
 use xsi_query::{eval_graph, eval_index, eval_index_raw, PathExpr};
@@ -88,9 +88,56 @@ struct Handles {
     simple: IndexHandle,
 }
 
-/// How many flight-recorder events a traced run retains (and therefore
-/// how many `trace` lines a reproducer can carry).
+/// How many trace lines a traced run retains (and therefore how many
+/// `trace` lines a reproducer can carry).
 pub const TRACE_CAP: usize = 256;
+
+/// The tail of a traced run: the stable lines of the spans each op
+/// closed ([`stable_lines`]), each op followed by the harness's own
+/// `oracle` line, keeping the newest [`TRACE_CAP`].
+struct TraceTail {
+    /// `None` for an untraced run: nothing is collected.
+    lines: Option<VecDeque<String>>,
+    families: Vec<String>,
+}
+
+impl TraceTail {
+    fn push(&mut self, line: String) {
+        if let Some(lines) = self.lines.as_mut() {
+            if lines.len() == TRACE_CAP {
+                lines.pop_front();
+            }
+            lines.push_back(line);
+        }
+    }
+
+    /// Arms span collection for one op (traced runs only).
+    fn arm(&self) {
+        if self.lines.is_some() {
+            span::begin_collection();
+        }
+    }
+
+    /// Ends the op's collection, appending the stable lines of every
+    /// span it closed. A no-op when nothing is armed — so calling it
+    /// again after an op that unwound past its first call records the
+    /// spans the unwind closed.
+    fn record(&mut self) {
+        if self.lines.is_some() && span::is_collecting() {
+            let tree = span::end_collection();
+            for line in stable_lines(&tree, &self.families, TRACE_CAP) {
+                self.push(line);
+            }
+        }
+    }
+
+    fn snapshot(&self) -> Vec<String> {
+        self.lines
+            .as_ref()
+            .map(|l| l.iter().cloned().collect())
+            .unwrap_or_default()
+    }
+}
 
 /// Runs `scenario` end to end. `Ok` means every per-op and final oracle
 /// agreed; `Err` carries the first divergence.
@@ -98,14 +145,15 @@ pub fn run_scenario(scenario: &Scenario) -> Result<RunReport, Failure> {
     run_scenario_impl(scenario, false).0
 }
 
-/// Like [`run_scenario`], but with the engine's flight recorder enabled
-/// ([`TRACE_CAP`] events). Returns the run outcome together with the
-/// engine's own account of the tail of the run: the retained events'
-/// deterministic [`stable_line`](xsi_core::obs::event::Event::stable_line)
-/// projections (timestamps excluded), oldest first. The trace is
-/// captured just before the final rebuild phase — on a conviction it
-/// ends with the `oracle-check ... failed=true` event for the failing
-/// op — and is byte-identical across replays of the same scenario.
+/// Like [`run_scenario`], but with span collection armed around every
+/// op. Returns the run outcome together with the engine's own account
+/// of the tail of the run ([`TRACE_CAP`] lines, oldest first): the
+/// deterministic [`stable_lines`] of the spans each op closed
+/// (timestamps excluded), each op followed by an `oracle` line with the
+/// running check count. The trace is captured just before the final
+/// rebuild phase — on a conviction it ends with the `oracle ...
+/// failed=true` line for the failing op — and is byte-identical across
+/// replays of the same scenario.
 pub fn run_scenario_traced(scenario: &Scenario) -> (Result<RunReport, Failure>, Vec<String>) {
     run_scenario_impl(scenario, true)
 }
@@ -114,7 +162,7 @@ pub fn run_scenario_traced(scenario: &Scenario) -> (Result<RunReport, Failure>, 
 /// four families registered (slot 0 possibly fault-injected). Shared by
 /// the main run and the freeze oracle's prefix replicas, so both evolve
 /// bit-identically from the same op stream.
-fn build_lab_engine(scenario: &Scenario, traced: bool) -> (UpdateEngine, Vec<NodeId>, Handles) {
+fn build_lab_engine(scenario: &Scenario) -> (UpdateEngine, Vec<NodeId>, Handles) {
     let mut g = Graph::new();
     let mut handles: Vec<NodeId> = vec![g.root()];
     for label in &scenario.base_labels {
@@ -136,11 +184,6 @@ fn build_lab_engine(scenario: &Scenario, traced: bool) -> (UpdateEngine, Vec<Nod
     let simple = SimpleAkIndex::build(&g, scenario.k);
 
     let mut engine = UpdateEngine::new(g);
-    if traced {
-        engine
-            .obs_mut()
-            .set_recorder(Box::new(FlightRecorder::new(TRACE_CAP)));
-    }
     let hs = Handles {
         one: engine.register(one),
         prop: engine.register(Box::new(prop)),
@@ -182,7 +225,11 @@ fn run_scenario_impl(
         .iter()
         .filter_map(|q| PathExpr::parse(q).ok().map(|e| (q.clone(), e)))
         .collect();
-    let (mut engine, mut handles, hs) = build_lab_engine(scenario, traced);
+    let (mut engine, mut handles, hs) = build_lab_engine(scenario);
+    let mut tail = TraceTail {
+        lines: traced.then(VecDeque::new),
+        families: engine.obs().families().to_vec(),
+    };
 
     let mut report = RunReport::default();
     // Frozen views captured at `Freeze` ops, held across all subsequent
@@ -192,7 +239,9 @@ fn run_scenario_impl(
     for (i, op) in scenario.ops.iter().enumerate() {
         let outcome = catch_unwind(AssertUnwindSafe(|| -> Result<bool, Failure> {
             if matches!(op, ScenarioOp::Freeze) {
+                tail.arm();
                 let snaps = engine.freeze();
+                tail.record();
                 let checks = check_freeze_live(&engine, &hs, scenario.k, &queries, &snaps)
                     .map_err(|(check, detail)| Failure {
                         step: Some(i),
@@ -203,7 +252,10 @@ fn run_scenario_impl(
                 frozen.push((i, snaps));
                 return Ok(true);
             }
-            if !apply_scenario_op(&mut engine, &mut handles, op) {
+            tail.arm();
+            let applied = apply_scenario_op(&mut engine, &mut handles, op);
+            tail.record();
+            if !applied {
                 return Ok(false);
             }
             let checks =
@@ -217,22 +269,23 @@ fn run_scenario_impl(
             report.checks += checks;
             Ok(true)
         }));
-        // One OracleCheck event per attempted op (skips included): the
+        // An op that panicked unwound past `record`: file its spans now.
+        tail.record();
+        // One oracle line per attempted op (skips included): the
         // reproducer trace shows exactly how far the oracles got.
         let failed = !matches!(outcome, Ok(Ok(_)));
-        engine.obs_mut().emit(EventPayload::OracleCheck {
-            checks: u32::try_from(report.checks).unwrap_or(u32::MAX),
-            failed,
-        });
+        tail.push(format!(
+            "oracle op={i} checks={} failed={failed}",
+            report.checks
+        ));
         match outcome {
             Ok(Ok(true)) => report.applied += 1,
             Ok(Ok(false)) => report.skipped += 1,
             Ok(Err(failure)) => {
-                let trace = engine.obs().stable_trace();
-                return (Err(failure), trace);
+                return (Err(failure), tail.snapshot());
             }
             Err(payload) => {
-                let trace = engine.obs().stable_trace();
+                let trace = tail.snapshot();
                 return (
                     Err(Failure {
                         step: Some(i),
@@ -246,7 +299,7 @@ fn run_scenario_impl(
     }
 
     // The final phase consumes the engine; snapshot the trace first.
-    let trace = engine.obs().stable_trace();
+    let trace = tail.snapshot();
 
     // Freeze oracle: every view frozen mid-run must — after all the
     // churn above — still equal a replica index replayed to its freeze
@@ -633,7 +686,7 @@ fn check_freeze_replay(
     queries: &[(String, PathExpr)],
 ) -> Result<usize, (String, String)> {
     let mut passed = 0usize;
-    let (mut engine, mut handles, _hs) = build_lab_engine(scenario, false);
+    let (mut engine, mut handles, _hs) = build_lab_engine(scenario);
     for op in scenario.ops.iter().take(freeze_op) {
         apply_scenario_op(&mut engine, &mut handles, op);
     }
@@ -755,6 +808,27 @@ mod tests {
                 panic!("seed {seed} (replay with XSI_TEST_SEED={seed}): {f}");
             }
         }
+    }
+
+    #[test]
+    fn traced_runs_replay_the_same_capped_span_trace() {
+        for seed in 0..4u64 {
+            let s = generate_scenario(seed, &GenConfig::small(seed % 2 == 1));
+            let (outcome, trace) = run_scenario_traced(&s);
+            let report = outcome.unwrap();
+            let (_, again) = run_scenario_traced(&s);
+            assert_eq!(trace, again, "seed {seed}: trace is not deterministic");
+            assert!(trace.len() <= TRACE_CAP);
+            // Every attempted op ends with its oracle line; applied ops
+            // also leave the spans they closed.
+            let last = trace.last().expect("a traced run leaves a trace");
+            assert!(last.starts_with("oracle op=") && last.ends_with("failed=false"));
+            if report.applied > 0 {
+                assert!(trace.iter().any(|l| l.contains(" Op parent=")));
+            }
+        }
+        // Untraced runs collect nothing and leave collection disarmed.
+        assert!(!xsi_core::obs::span::is_collecting());
     }
 
     #[test]

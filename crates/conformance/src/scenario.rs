@@ -190,8 +190,8 @@ impl Scenario {
         let mut saw_end = false;
         for line in lines {
             if saw_end {
-                // Reproducers append the engine's flight-recorder trace
-                // after `end` as informational `trace` directives; the
+                // Reproducers append the engine's span trace after
+                // `end` as informational `trace` directives; the
                 // scenario itself never depends on them, so they are
                 // skipped here (forward-compatible parsing). Anything
                 // else after `end` is still an error.
@@ -252,8 +252,8 @@ impl Scenario {
         Ok(s)
     }
 
-    /// Extracts the informational flight-recorder trace appended after
-    /// `end` (one stable line per `trace` directive, oldest first).
+    /// Extracts the informational span trace appended after `end` (one
+    /// stable line per `trace` directive, oldest first).
     /// Returns an empty vec for reproducers written before traces
     /// existed — the replay itself never depends on these lines.
     pub fn embedded_trace(text: &str) -> Vec<String> {
@@ -414,14 +414,16 @@ mod tests {
     #[test]
     fn trace_lines_after_end_are_ignored_and_extractable() {
         let text = "xsi-conformance-replay v1\nseed 7\nk 1\nend\n\
-                    # flight-recorder trace\n\
-                    trace 0 op-received op=insert-edge\n\
-                    trace 1 index-dispatch family=1-index op=insert-edge splits=1 merges=0 no_op=false\n";
+                    # span trace\n\
+                    trace 1 Op parent=0\n\
+                    trace 2 IndexDispatch(1-index) parent=1 blocks=1 queue_depth=1\n\
+                    trace oracle op=0 checks=12 failed=false\n";
         let s = Scenario::parse_replay(text).unwrap();
         assert_eq!(s.seed, 7);
         let trace = Scenario::embedded_trace(text);
-        assert_eq!(trace.len(), 2);
-        assert!(trace[0].starts_with("0 op-received"));
+        assert_eq!(trace.len(), 3);
+        assert!(trace[0].starts_with("1 Op"));
+        assert!(trace[2].starts_with("oracle op=0"));
         // Non-trace content after end is still rejected.
         let bad = "xsi-conformance-replay v1\nend\ntraceish 0\n";
         assert!(Scenario::parse_replay(bad).is_err());

@@ -430,7 +430,6 @@ impl AkIndex {
     /// Registers a freshly added, edge-free node: it joins (or founds) the
     /// chain of parentless blocks with its label, preserving minimality.
     // xsi-lint: allow(span-coverage, no kernel work; the engine-level caller opens the Op/IndexDispatch spans)
-    // xsi-lint: allow(obs-coverage, O(k) bookkeeping with no split/merge work; the engine-level caller times it)
     pub fn on_node_added(&mut self, g: &Graph, n: NodeId) {
         self.ensure_capacity(g);
         debug_assert_eq!(g.in_degree(n) + g.out_degree(n), 0);
@@ -465,7 +464,6 @@ impl AkIndex {
     /// Unregisters a node about to be removed (must be edge-free; call
     /// before `Graph::remove_node`).
     // xsi-lint: allow(span-coverage, no kernel work; the engine-level caller opens the Op/IndexDispatch spans)
-    // xsi-lint: allow(obs-coverage, O(k) bookkeeping with no split/merge work; the engine-level caller times it)
     pub fn on_node_removing(&mut self, g: &Graph, n: NodeId) {
         debug_assert_eq!(g.in_degree(n) + g.out_degree(n), 0);
         let chain = self.chain_of(n);

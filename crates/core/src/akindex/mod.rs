@@ -36,6 +36,7 @@ pub use simple::SimpleAkIndex;
 pub use storage::StorageReport;
 
 use crate::obs::mem::{btree_set_heap, vec_cap_heap, HeapUse, MemReport};
+use crate::obs::span::{SpanGuard, SpanKind};
 use crate::store::{CowVec, IedgeMap, ScratchTable, SlotKey, SlotMap, StoreReport};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
@@ -184,21 +185,25 @@ impl AkIndex {
     /// Builds the minimum A(k)-index chain: level 0 groups by label, and
     /// each level `i` refines level `i−1` by the set of level-`i−1`
     /// classes of a node's parents (k-bisimilarity), as in the O(km)
-    /// construction of Kaushik et al.
+    /// construction of Kaushik et al. Each level pass runs under one
+    /// `KernelScan` span whose `elems` counts the nodes it visited.
     pub fn build(g: &Graph, k: usize) -> Self {
         assert!(k < u8::MAX as usize, "k too large");
         // Compute class assignments per level.
         let mut levels: Vec<Vec<u32>> = Vec::with_capacity(k + 1);
         {
+            let scan = SpanGuard::enter(SpanKind::KernelScan);
             let mut classes = vec![u32::MAX; g.capacity()];
             let mut ids: HashMap<Label, u32> = HashMap::new();
             for n in g.nodes() {
                 let next = ids.len() as u32;
                 classes[n.index()] = *ids.entry(g.label(n)).or_insert(next);
             }
+            scan.add_elems(g.node_count() as u64);
             levels.push(classes);
         }
         for _ in 1..=k {
+            let scan = SpanGuard::enter(SpanKind::KernelScan);
             let prev = levels
                 .last()
                 .expect("invariant: construction always creates level 0");
@@ -211,6 +216,7 @@ impl AkIndex {
                 let next = ids.len() as u32;
                 classes[n.index()] = *ids.entry((prev[n.index()], parents)).or_insert(next);
             }
+            scan.add_elems(g.node_count() as u64);
             levels.push(classes);
         }
         Self::from_assignments(g, k, &levels)
@@ -1052,6 +1058,24 @@ mod tests {
             .root_to(4)
             .build_with_ids();
         g
+    }
+
+    #[test]
+    fn build_opens_one_kernel_scan_per_level_pass() {
+        use crate::obs::span;
+        let g = sample();
+        span::begin_collection();
+        let _idx = AkIndex::build(&g, 2);
+        let tree = span::end_collection();
+        let scans: Vec<_> = tree
+            .spans
+            .iter()
+            .filter(|s| s.kind == SpanKind::KernelScan)
+            .collect();
+        assert_eq!(scans.len(), 3, "levels 0..=2");
+        assert!(scans
+            .iter()
+            .all(|s| s.counters.elems == g.node_count() as u64));
     }
 
     #[test]

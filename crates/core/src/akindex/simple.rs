@@ -19,6 +19,7 @@
 
 use crate::stats::UpdateStats;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, DefaultHasher};
 use xsi_graph::{bfs_descendants, EdgeKind, Graph, GraphError, NodeId};
 
 /// A stand-alone A(k)-index (level-k partition only) maintained by the
@@ -30,8 +31,10 @@ pub struct SimpleAkIndex {
     /// dnode → block id (dense per index instance, never reused).
     node_block: Vec<u32>,
     /// block id → extent. Whole extents are rewritten on repartition, so
-    /// no per-node position table is needed.
-    members: HashMap<u32, Vec<NodeId>>,
+    /// no per-node position table is needed. Fixed-key hashing: the
+    /// table's `capacity()` depends on where removals leave tombstones,
+    /// and it feeds the mem report, which must be replay-stable.
+    members: HashMap<u32, Vec<NodeId>, BuildHasherDefault<DefaultHasher>>,
     next_block: u32,
     /// Whether signature computation memoizes per (node, level) — `false`
     /// reproduces the paper's exponential-in-k baseline cost.
@@ -50,7 +53,7 @@ impl SimpleAkIndex {
         let mut idx = SimpleAkIndex {
             k,
             node_block: vec![UNASSIGNED; g.capacity()],
-            members: HashMap::new(),
+            members: HashMap::default(),
             next_block: 0,
             memoize: true,
         };

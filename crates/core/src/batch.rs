@@ -23,12 +23,12 @@
 
 use crate::akindex::AkIndex;
 use crate::index::StructuralIndex;
-use crate::obs::event::{BatchSegment, EventPayload, IndexFamily, OpKind};
-use crate::obs::span::{SpanGuard, SpanKind};
-use crate::obs::ObsHub;
+use crate::obs::span::{BatchSegment, IndexFamily, OpKind, SpanGuard, SpanKind};
+use crate::obs::MetricsRegistry;
 use crate::oneindex::OneIndex;
 use crate::stats::UpdateStats;
 use std::collections::HashSet;
+use std::time::Instant;
 use xsi_graph::{EdgeKind, Graph, GraphError, NodeId};
 
 /// One update in a batch. Node handles for `AddNode` results are
@@ -171,92 +171,138 @@ pub fn apply_batch_traced(
     g: &mut Graph,
     batch: &[UpdateOp],
 ) -> Result<(BatchResult, Vec<UpdateStats>), BatchError> {
-    let mut obs = ObsHub::disabled();
-    apply_batch_traced_obs(indexes, &[], g, batch, &mut obs)
+    apply_batch_observed(indexes, &[], g, batch, None)
 }
 
-/// Per-edge-mutation fan-out: every index observes the (already applied)
-/// mutation; when the hub is active each observation is timed and
-/// emitted as an `index-dispatch` event (plus the split/merge phase
-/// breakdown, see [`ObsHub::observe_index_dispatch`]).
-#[allow(clippy::too_many_arguments)]
-fn observe_edge_fanout(
+/// One index the edge fan-out drives: the index, its family handle, and
+/// the accumulator its per-op stats are absorbed into.
+pub(crate) type FanOutTarget<'a> = (
+    &'a mut dyn StructuralIndex,
+    IndexFamily,
+    &'a mut UpdateStats,
+);
+
+/// The one edge fan-out, shared by the engine's single-edge path and the
+/// batch core: every target index observes the (already applied)
+/// mutation `u → v` under one `Op` span, each inside its own
+/// `IndexDispatch` span carrying the blocks it touched and its
+/// work-queue peak. Each index's stats are absorbed into its accumulator
+/// and handed to `on_stats`. With `metrics`, the op and every (timed)
+/// dispatch are filed from those stats.
+pub(crate) fn fan_out_edge<'a>(
     g: &Graph,
-    u: NodeId,
-    v: NodeId,
+    (u, v): (NodeId, NodeId),
     inserted: bool,
-    indexes: &mut [&mut dyn StructuralIndex],
-    families: &[IndexFamily],
-    result: &mut BatchResult,
-    per_index: &mut [UpdateStats],
-    obs: &mut ObsHub,
+    targets: impl Iterator<Item = FanOutTarget<'a>>,
+    mut metrics: Option<&mut MetricsRegistry>,
+    mut on_stats: impl FnMut(&UpdateStats),
 ) {
     let op = if inserted {
         OpKind::InsertEdge
     } else {
         OpKind::DeleteEdge
     };
-    let active = obs.is_active();
-    if active {
-        obs.emit(EventPayload::OpReceived { op });
+    if let Some(m) = metrics.as_deref_mut() {
+        m.observe_op(op);
     }
     let op_span = SpanGuard::enter(SpanKind::Op);
-    for (i, (idx, acc)) in indexes.iter_mut().zip(per_index.iter_mut()).enumerate() {
-        let family = families.get(i).copied().unwrap_or(IndexFamily::NONE);
-        let t = if active {
-            Some(std::time::Instant::now())
-        } else {
-            None
-        };
+    for (index, family, acc) in targets {
+        let t = metrics.is_some().then(Instant::now);
         let dispatch = SpanGuard::enter_family(SpanKind::IndexDispatch, family);
         let s = if inserted {
-            idx.on_edge_inserted(g, u, v)
+            index.on_edge_inserted(g, u, v)
         } else {
-            idx.on_edge_deleted(g, u, v)
+            index.on_edge_deleted(g, u, v)
         };
         dispatch.add_blocks(s.splits as u64 + s.merges as u64);
         dispatch.set_queue_depth(s.queue_peak as u64);
         drop(dispatch);
-        if let Some(t) = t {
-            obs.observe_index_dispatch(family, op, &s, t.elapsed().as_nanos() as u64);
+        if let (Some(m), Some(t)) = (metrics.as_deref_mut(), t) {
+            m.observe_dispatch(family, op, &s, t.elapsed().as_nanos() as u64);
         }
         acc.absorb(&s);
-        result.stats.absorb(&s);
+        on_stats(&s);
     }
     drop(op_span);
-    result.ops_applied += 1;
 }
 
-/// [`apply_batch_traced`] with observability: the same phase-ordered
-/// core, additionally emitting `op-received` / `index-dispatch` /
-/// `batch-segment` events (and per-phase metrics) into `obs`. This is
-/// the instrumented path the [`crate::UpdateEngine`] calls; `families`
-/// gives each index's [`IndexFamily`] handle in `indexes` order (may be
-/// empty when tracing is off).
-pub fn apply_batch_traced_obs(
+/// The batch core's running state: the target indexes with their family
+/// handles and per-index accumulators, the combined result, and the
+/// optional metrics sink.
+struct BatchRun<'a, 'b> {
+    indexes: &'a mut [&'b mut dyn StructuralIndex],
+    families: &'a [IndexFamily],
+    metrics: Option<&'a mut MetricsRegistry>,
+    per_index: Vec<UpdateStats>,
+    result: BatchResult,
+}
+
+impl BatchRun<'_, '_> {
+    /// Files one primitive op entering the pipeline.
+    fn observe_op(&mut self, op: OpKind) {
+        if let Some(m) = self.metrics.as_deref_mut() {
+            m.observe_op(op);
+        }
+    }
+
+    /// Fans one applied edge mutation out through [`fan_out_edge`].
+    fn edge(&mut self, g: &Graph, u: NodeId, v: NodeId, inserted: bool) {
+        let BatchRun {
+            indexes,
+            families,
+            metrics,
+            per_index,
+            result,
+        } = self;
+        let targets = indexes
+            .iter_mut()
+            .zip(per_index.iter_mut())
+            .enumerate()
+            .map(|(i, (index, acc))| -> FanOutTarget<'_> {
+                let family = families.get(i).copied().unwrap_or(IndexFamily::NONE);
+                (&mut **index, family, acc)
+            });
+        fan_out_edge(g, (u, v), inserted, targets, metrics.as_deref_mut(), |s| {
+            result.stats.absorb(s)
+        });
+        result.ops_applied += 1;
+    }
+
+    /// Closes one phase segment: its span carries the segment's op
+    /// count, and a non-empty segment is filed.
+    fn end_segment(&mut self, span: SpanGuard, segment: BatchSegment, ops: usize) {
+        span.add_elems(ops as u64);
+        drop(span);
+        if let (Some(m), true) = (self.metrics.as_deref_mut(), ops > 0) {
+            m.observe_batch_segment(segment, ops);
+        }
+    }
+}
+
+/// [`apply_batch_traced`] with the engine's observability: the same
+/// phase-ordered core, additionally attributing each index's spans to
+/// its [`IndexFamily`] handle (`families` in `indexes` order; may be
+/// empty) and filing ops, dispatches and batch segments into `metrics`.
+pub(crate) fn apply_batch_observed(
     indexes: &mut [&mut dyn StructuralIndex],
     families: &[IndexFamily],
     g: &mut Graph,
     batch: &[UpdateOp],
-    obs: &mut ObsHub,
+    metrics: Option<&mut MetricsRegistry>,
 ) -> Result<(BatchResult, Vec<UpdateStats>), BatchError> {
     validate(g, batch)?;
     debug_assert!(families.is_empty() || families.len() == indexes.len());
     // Accumulators fold from the absorb identity (`no_op: true`), so a
     // batch of pure no-ops reports `no_op = true` — the satellite-1 fix.
-    let mut result = BatchResult {
-        stats: UpdateStats::identity(),
-        ..BatchResult::default()
-    };
-    let mut per_index = vec![UpdateStats::identity(); indexes.len()];
-    let active = obs.is_active();
-    let segment = |obs: &mut ObsHub, seg: BatchSegment, ops: usize| {
-        if ops > 0 {
-            obs.emit(EventPayload::BatchSegment {
-                segment: seg,
-                ops: ops.min(u32::MAX as usize) as u32,
-            });
-        }
+    let mut run = BatchRun {
+        per_index: vec![UpdateStats::identity(); indexes.len()],
+        indexes,
+        families,
+        metrics,
+        result: BatchResult {
+            stats: UpdateStats::identity(),
+            ..BatchResult::default()
+        },
     };
 
     // Phase 1: node additions.
@@ -264,25 +310,17 @@ pub fn apply_batch_traced_obs(
     let mut seg_ops = 0usize;
     for op in batch {
         if let UpdateOp::AddNode { label } = op {
-            if active {
-                obs.emit(EventPayload::OpReceived {
-                    op: OpKind::AddNode,
-                });
-            }
+            run.observe_op(OpKind::AddNode);
             let n = g.add_node(label, None);
-            for idx in indexes.iter_mut() {
+            for idx in run.indexes.iter_mut() {
                 idx.on_node_added(g, n);
             }
-            result.created.push(n);
-            result.ops_applied += 1;
+            run.result.created.push(n);
+            run.result.ops_applied += 1;
             seg_ops += 1;
         }
     }
-    seg_span.add_elems(seg_ops as u64);
-    drop(seg_span);
-    if active {
-        segment(obs, BatchSegment::AddNodes, seg_ops);
-    }
+    run.end_segment(seg_span, BatchSegment::AddNodes, seg_ops);
     let resolve = |r: &NodeRef, created: &[NodeId]| match r {
         NodeRef::Existing(n) => *n,
         NodeRef::New(i) => created[*i],
@@ -292,52 +330,25 @@ pub fn apply_batch_traced_obs(
     let mut seg_ops = 0usize;
     for op in batch {
         if let UpdateOp::InsertEdge { from, to, kind } = op {
-            let (u, v) = (resolve(from, &result.created), resolve(to, &result.created));
+            let created = &run.result.created;
+            let (u, v) = (resolve(from, created), resolve(to, created));
             g.insert_edge(u, v, *kind)?;
-            observe_edge_fanout(
-                g,
-                u,
-                v,
-                true,
-                indexes,
-                families,
-                &mut result,
-                &mut per_index,
-                obs,
-            );
+            run.edge(g, u, v, true);
             seg_ops += 1;
         }
     }
-    seg_span.add_elems(seg_ops as u64);
-    drop(seg_span);
-    if active {
-        segment(obs, BatchSegment::InsertEdges, seg_ops);
-    }
+    run.end_segment(seg_span, BatchSegment::InsertEdges, seg_ops);
     // Phase 3: edge deletions.
     let seg_span = SpanGuard::enter(SpanKind::BatchSegment);
     let mut seg_ops = 0usize;
     for op in batch {
         if let UpdateOp::DeleteEdge { from, to } = op {
             g.delete_edge(*from, *to)?;
-            observe_edge_fanout(
-                g,
-                *from,
-                *to,
-                false,
-                indexes,
-                families,
-                &mut result,
-                &mut per_index,
-                obs,
-            );
+            run.edge(g, *from, *to, false);
             seg_ops += 1;
         }
     }
-    seg_span.add_elems(seg_ops as u64);
-    drop(seg_span);
-    if active {
-        segment(obs, BatchSegment::DeleteEdges, seg_ops);
-    }
+    run.end_segment(seg_span, BatchSegment::DeleteEdges, seg_ops);
     // Phase 4: node removals (after explicit edge deletions, so edges
     // already deleted in phase 3 are not double-processed; any edges the
     // node still has are deleted here through the same fan-out).
@@ -345,57 +356,29 @@ pub fn apply_batch_traced_obs(
     let mut seg_ops = 0usize;
     for op in batch {
         if let UpdateOp::RemoveNode { node } = op {
-            if active {
-                obs.emit(EventPayload::OpReceived {
-                    op: OpKind::RemoveNode,
-                });
-            }
+            run.observe_op(OpKind::RemoveNode);
             let parents: Vec<NodeId> = g.pred(*node).collect();
             for p in parents {
                 g.delete_edge(p, *node)?;
-                observe_edge_fanout(
-                    g,
-                    p,
-                    *node,
-                    false,
-                    indexes,
-                    families,
-                    &mut result,
-                    &mut per_index,
-                    obs,
-                );
+                run.edge(g, p, *node, false);
                 seg_ops += 1;
             }
             let children: Vec<NodeId> = g.succ(*node).collect();
             for c in children {
                 g.delete_edge(*node, c)?;
-                observe_edge_fanout(
-                    g,
-                    *node,
-                    c,
-                    false,
-                    indexes,
-                    families,
-                    &mut result,
-                    &mut per_index,
-                    obs,
-                );
+                run.edge(g, *node, c, false);
                 seg_ops += 1;
             }
-            for idx in indexes.iter_mut() {
+            for idx in run.indexes.iter_mut() {
                 idx.on_node_removing(g, *node);
             }
             g.remove_node(*node)?;
-            result.ops_applied += 1;
+            run.result.ops_applied += 1;
             seg_ops += 1;
         }
     }
-    seg_span.add_elems(seg_ops as u64);
-    drop(seg_span);
-    if active {
-        segment(obs, BatchSegment::RemoveNodes, seg_ops);
-    }
-    Ok((result, per_index))
+    run.end_segment(seg_span, BatchSegment::RemoveNodes, seg_ops);
+    Ok((run.result, run.per_index))
 }
 
 /// Applies a batch of updates through any [`StructuralIndex`]'s
@@ -591,6 +574,66 @@ mod tests {
         idx.partition().check_consistency(&g).unwrap();
         assert!(is_minimal_1index(&g, idx.partition()));
         assert_eq!(idx.canonical(), OneIndex::build(&g).canonical());
+    }
+
+    /// The engine's single-edge path and its batch path share one
+    /// fan-out: the same edge insertion files identical dispatch series
+    /// and the same span shape under its `Op` span either way.
+    #[test]
+    fn engine_and_batch_paths_share_the_edge_fan_out() {
+        use crate::obs::{span, MetricKey};
+        use crate::UpdateEngine;
+        let run = |batched: bool| {
+            let (g, ids) = host();
+            let mut engine = UpdateEngine::new(g);
+            engine.obs_mut().enable_metrics();
+            engine.register(Box::new(OneIndex::build(engine.graph())));
+            engine.register(Box::new(AkIndex::build(engine.graph(), 2)));
+            span::begin_collection();
+            if batched {
+                let op = UpdateOp::InsertEdge {
+                    from: NodeRef::Existing(ids[&3]),
+                    to: NodeRef::Existing(ids[&2]),
+                    kind: EdgeKind::IdRef,
+                };
+                engine.apply(&op).unwrap();
+            } else {
+                engine
+                    .insert_edge(ids[&3], ids[&2], EdgeKind::IdRef)
+                    .unwrap();
+            }
+            let tree = span::end_collection();
+            let op = tree
+                .spans
+                .iter()
+                .find(|s| s.kind == SpanKind::Op)
+                .expect("the fan-out opens an Op span");
+            let dispatches: Vec<_> = tree
+                .children_of(op.id)
+                .map(|s| (s.kind, s.family, s.counters))
+                .collect();
+            let m = engine.obs().metrics().expect("metrics enabled above");
+            let mut series = vec![format!(
+                "{:?}",
+                m.counter_value(&MetricKey::named("ops_total").op("insert-edge"))
+            )];
+            for fam in [IndexFamily(0), IndexFamily(1)] {
+                for name in ["splits_total", "merges_total", "no_ops_total"] {
+                    let key = MetricKey::named(name).family(fam).op("insert-edge");
+                    series.push(format!("{name} {:?}", m.counter_value(&key)));
+                }
+                for name in ["intermediate_blocks", "queue_peak"] {
+                    let key = MetricKey::named(name).family(fam).phase("split");
+                    series.push(format!("{name} {:?}", m.histogram(&key)));
+                }
+            }
+            (dispatches, series)
+        };
+        let (direct_spans, direct_metrics) = run(false);
+        let (batch_spans, batch_metrics) = run(true);
+        assert_eq!(direct_spans.len(), 2, "one dispatch per index");
+        assert_eq!(direct_spans, batch_spans);
+        assert_eq!(direct_metrics, batch_metrics);
     }
 
     /// The traced core drives several indexes over one graph in lockstep

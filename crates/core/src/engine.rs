@@ -37,11 +37,9 @@
 
 use crate::batch::{self, BatchError, BatchResult, UpdateOp};
 use crate::index::StructuralIndex;
-use crate::obs::event::{EventPayload, IndexFamily, OpKind};
 use crate::obs::mem::{self, HeapUse};
-use crate::obs::metrics::MetricKey;
-use crate::obs::span::{SpanGuard, SpanKind};
-use crate::obs::{clamp32, ObsHub};
+use crate::obs::span::{IndexFamily, OpKind, SpanGuard, SpanKind};
+use crate::obs::ObsHub;
 use crate::rebuild::RebuildPolicy;
 use crate::stats::UpdateStats;
 use crate::view::IndexSnapshot;
@@ -108,7 +106,7 @@ pub struct UpdateEngine {
     g: Graph,
     entries: Vec<Entry>,
     stats: EngineStats,
-    /// The observability hub: flight recorder / JSONL tracing + metrics
+    /// The observability hub: family table + optional metrics registry
     /// (disabled by default — see [`crate::obs`]).
     obs: ObsHub,
 }
@@ -130,15 +128,15 @@ impl UpdateEngine {
         &self.obs
     }
 
-    /// Mutable access to the observability hub — install a recorder
-    /// ([`ObsHub::set_recorder`]) or enable metrics
+    /// Mutable access to the observability hub — enable metrics
     /// ([`ObsHub::enable_metrics`]) before applying updates.
+    // xsi-lint: allow(span-coverage, accessor; applies no mutation)
     pub fn obs_mut(&mut self) -> &mut ObsHub {
         &mut self.obs
     }
 
     /// Registers an index (already built over this engine's graph).
-    // xsi-lint: allow(obs-coverage, thin delegate; register_inner books the registration through the obs hub)
+    // xsi-lint: allow(span-coverage, registration applies no mutation; register_inner books the family in the obs hub)
     pub fn register(&mut self, index: Box<dyn StructuralIndex>) -> IndexHandle {
         self.register_inner(index, None)
     }
@@ -147,7 +145,7 @@ impl UpdateEngine {
     /// policy: after any operation that leaves the index more than the
     /// threshold above its last-rebuilt size, the engine calls
     /// [`StructuralIndex::rebuild`] and books the time separately.
-    // xsi-lint: allow(obs-coverage, thin delegate; register_inner books the registration through the obs hub)
+    // xsi-lint: allow(span-coverage, registration applies no mutation; register_inner books the family in the obs hub)
     pub fn register_with_policy(&mut self, index: Box<dyn StructuralIndex>) -> IndexHandle {
         let policy = RebuildPolicy::new(index.block_count());
         self.register_inner(index, Some(policy))
@@ -213,9 +211,9 @@ impl UpdateEngine {
     /// Adds a node and registers it with every index.
     pub fn add_node(&mut self, label: &str, value: Option<String>) -> NodeId {
         let n = self.g.add_node(label, value);
-        self.obs.emit(EventPayload::OpReceived {
-            op: OpKind::AddNode,
-        });
+        if let Some(m) = self.obs.metrics_mut() {
+            m.observe_op(OpKind::AddNode);
+        }
         let op_span = SpanGuard::enter(SpanKind::Op);
         let t = Instant::now();
         for e in &mut self.entries {
@@ -231,6 +229,7 @@ impl UpdateEngine {
 
     /// Inserts an edge and fans the observation out. Returns the stats
     /// aggregated over all indexes for this one operation.
+    // xsi-lint: allow(span-coverage, delegates to batch::fan_out_edge, which opens the Op span)
     pub fn insert_edge(
         &mut self,
         u: NodeId,
@@ -243,6 +242,7 @@ impl UpdateEngine {
 
     /// Deletes an edge and fans the observation out. Returns the removed
     /// edge's kind alongside the aggregated stats.
+    // xsi-lint: allow(span-coverage, delegates to batch::fan_out_edge, which opens the Op span)
     pub fn delete_edge(
         &mut self,
         u: NodeId,
@@ -278,12 +278,12 @@ impl UpdateEngine {
             let (s, _) = self.delete_edge(n, c)?;
             total.absorb(&s);
         }
-        // The incident edge deletions above emitted their own op events
+        // The incident edge deletions above filed their own ops
         // (matching `EngineStats::ops` accounting); this one is for the
         // removal itself.
-        self.obs.emit(EventPayload::OpReceived {
-            op: OpKind::RemoveNode,
-        });
+        if let Some(m) = self.obs.metrics_mut() {
+            m.observe_op(OpKind::RemoveNode);
+        }
         let op_span = SpanGuard::enter(SpanKind::Op);
         let t = Instant::now();
         for e in &mut self.entries {
@@ -302,7 +302,7 @@ impl UpdateEngine {
     /// Applies one [`UpdateOp`]. `AddNode` ids are returned through the
     /// result's `created`; use [`UpdateEngine::apply_batch`] when ops
     /// reference each other's new nodes.
-    // xsi-lint: allow(obs-coverage, one-op shim over apply_batch, which carries the full obs instrumentation)
+    // xsi-lint: allow(span-coverage, one-op shim over apply_batch, which opens the batch-segment spans)
     pub fn apply(&mut self, op: &UpdateOp) -> Result<BatchResult, BatchError> {
         self.apply_batch(std::slice::from_ref(op))
     }
@@ -310,6 +310,7 @@ impl UpdateEngine {
     /// Applies a batch through the shared phase-ordered batch machinery
     /// (validate → add nodes → insert edges → delete edges → remove
     /// nodes), fanning every mutation out to all registered indexes.
+    // xsi-lint: allow(span-coverage, delegates to batch::apply_batch_observed, which opens the BatchSegment and Op spans)
     pub fn apply_batch(&mut self, ops: &[UpdateOp]) -> Result<BatchResult, BatchError> {
         // Split-borrow: the batch core needs &mut Graph plus the index
         // trait objects; reassemble the per-index stats afterwards.
@@ -320,7 +321,8 @@ impl UpdateEngine {
             for e in &mut self.entries {
                 views.push(e.index.as_mut());
             }
-            batch::apply_batch_traced_obs(&mut views, &families, &mut self.g, ops, &mut self.obs)?
+            let metrics = self.obs.metrics_mut();
+            batch::apply_batch_observed(&mut views, &families, &mut self.g, ops, metrics)?
         };
         self.stats.observe_op(t.elapsed(), result.ops_applied);
         for (e, s) in self.entries.iter_mut().zip(&per_index) {
@@ -332,82 +334,47 @@ impl UpdateEngine {
         Ok(result)
     }
 
-    /// Publishes one `store-report` event per registered index that
-    /// keeps dense iedge maps ([`StructuralIndex::store_report`]):
-    /// inline vs spilled map populations, cumulative spill events, and
-    /// probe lengths land in the metrics registry as `store_*` gauges
-    /// plus the `store_probe_len` histogram. On-demand rather than
-    /// per-op — the report walks every live block, so callers (bench
-    /// drivers, exporters) sample it at export points. A no-op while
-    /// the obs hub is inactive.
+    /// Files one store report per registered index that keeps dense
+    /// iedge maps ([`StructuralIndex::store_report`]): inline vs spilled
+    /// map populations, cumulative spill events, and probe lengths land
+    /// in the metrics registry as `store_*` gauges plus the
+    /// `store_probe_len` histogram. On-demand rather than per-op — the
+    /// report walks every live block, so callers (bench drivers,
+    /// exporters) sample it at export points. A no-op while metrics are
+    /// off.
+    // xsi-lint: allow(span-coverage, export-point report publisher; its series are pinned by the metrics golden test)
     pub fn publish_store_reports(&mut self) {
-        if !self.obs.is_active() {
+        let Some(m) = self.obs.metrics_mut() else {
             return;
-        }
+        };
         for e in &self.entries {
             if let Some(r) = e.index.store_report() {
-                self.obs.emit(EventPayload::StoreReport {
-                    family: e.family,
-                    inline_maps: clamp32(r.inline_maps as usize),
-                    spilled_maps: clamp32(r.spilled_maps as usize),
-                    spill_events: clamp32(r.spill_events as usize),
-                    entries: clamp32(r.entries as usize),
-                    max_entries: clamp32(r.max_entries as usize),
-                    probe_total: r.probe_total,
-                });
+                m.observe_store_report(e.family, &r);
             }
         }
     }
 
-    /// Publishes one `mem-report` event per registered index with
-    /// memory accounting ([`StructuralIndex::mem_report`]): deep byte
-    /// categories and the quality telemetry (live blocks vs the
-    /// rebuild-to-minimum oracle) land as `mem_*`/`quality_*` gauges,
-    /// and the report's extent-length and inline-occupancy histograms
-    /// are transplanted into the registry bucket-for-bucket. On-demand,
-    /// like [`UpdateEngine::publish_store_reports`]: the report walks
-    /// every slot, and `minimum_block_count` *rebuilds* the index — this
-    /// is an export-point operation, never a per-op one. A no-op while
-    /// the obs hub is inactive.
+    /// Files one mem report per registered index with memory accounting
+    /// ([`StructuralIndex::mem_report`]): deep byte categories and the
+    /// quality telemetry (live blocks vs the rebuild-to-minimum oracle)
+    /// land as `mem_*`/`quality_*` gauges, and the report's
+    /// extent-length and inline-occupancy histograms are transplanted
+    /// into the registry bucket-for-bucket. On-demand, like
+    /// [`UpdateEngine::publish_store_reports`]: the report walks every
+    /// slot, and `minimum_block_count` *rebuilds* the index — this is an
+    /// export-point operation, never a per-op one. A no-op while metrics
+    /// are off.
+    // xsi-lint: allow(span-coverage, export-point report publisher; its series are pinned by the metrics golden test)
     pub fn publish_mem_reports(&mut self) {
-        if !self.obs.is_active() {
+        let Some(m) = self.obs.metrics_mut() else {
             return;
-        }
+        };
         for e in &self.entries {
-            let Some(r) = e.index.mem_report() else {
-                continue;
-            };
-            let family = e.family;
-            let blocks = e.index.block_count();
-            let minimum = e.index.minimum_block_count(&self.g);
-            if let Some(m) = self.obs.metrics_mut() {
-                for (b, &c) in r.extent_len_hist.iter().enumerate() {
-                    m.observe_n(
-                        MetricKey::named("mem_extent_len").family(family),
-                        mem::pow2_bucket_floor(b),
-                        c,
-                    );
-                }
-                for (occ, &c) in r.inline_occupancy_hist.iter().enumerate() {
-                    m.observe_n(
-                        MetricKey::named("mem_iedge_inline_occupancy").family(family),
-                        occ as u64,
-                        c,
-                    );
-                }
+            if let Some(r) = e.index.mem_report() {
+                let blocks = e.index.block_count();
+                let minimum = e.index.minimum_block_count(&self.g);
+                m.observe_mem_report(e.family, &r, blocks, minimum);
             }
-            self.obs.emit(EventPayload::MemReport {
-                family,
-                total_bytes: r.total_bytes(),
-                extent_owned_bytes: r.extent_owned_bytes,
-                extent_shared_bytes: r.extent_shared_bytes,
-                iedge_spilled_bytes: r.iedge_spilled_bytes,
-                inline_maps: clamp32(r.iedge_inline_maps as usize),
-                spilled_maps: clamp32(r.iedge_spilled_maps as usize),
-                shared_extents: clamp32(r.shared_extents as usize),
-                blocks: clamp32(blocks),
-                minimum_blocks: clamp32(minimum),
-            });
         }
     }
 
@@ -417,6 +384,7 @@ impl UpdateEngine {
     /// always current, not only when a caller remembered the publish
     /// calls), then renders the metrics registry as JSON. Returns
     /// `None` when metrics were never enabled.
+    // xsi-lint: allow(span-coverage, export point; delegates to the publish_* report publishers)
     pub fn export_metrics_json(&mut self) -> Option<String> {
         self.obs.metrics()?;
         self.publish_store_reports();
@@ -428,41 +396,35 @@ impl UpdateEngine {
     /// [`IndexSnapshot`] (registration order; `None` for families that
     /// cannot freeze). O(blocks) per index: extent runs are
     /// `Arc`-shared, not copied — the writer's next mutation of a
-    /// frozen block clones only that block's run. Emits one
-    /// `snapshot-freeze` event per frozen index when the obs hub is
-    /// active (→ `snapshots_total`, `snapshot_freeze_nanos`,
-    /// `snapshot_cow_clones`); snapshots are returned either way.
+    /// frozen block clones only that block's run. With metrics on, each
+    /// frozen index is filed (→ `snapshots_total`,
+    /// `snapshot_freeze_nanos`, `snapshot_cow_clones`,
+    /// `snapshot_retained_bytes`); snapshots are returned either way.
     pub fn freeze(&mut self) -> Vec<Option<IndexSnapshot>> {
-        let active = self.obs.is_active();
         let mut out = Vec::with_capacity(self.entries.len());
         for e in &self.entries {
             // Family-attributed wrapper; the view-level block walk opens
             // its own (nested) Freeze span carrying the block counter.
             let sp = SpanGuard::enter_family(SpanKind::Freeze, e.family);
-            let t = if active { Some(Instant::now()) } else { None };
+            let t = self.obs.is_active().then(Instant::now);
             let snap = e.index.freeze(&self.g);
             sp.add_cow_clones(e.index.cow_clones());
             if let Some(s) = snap.as_ref() {
                 sp.add_blocks(s.block_count() as u64);
             }
             drop(sp);
-            if let (Some(t), Some(s)) = (t, snap.as_ref()) {
-                self.obs.emit(EventPayload::SnapshotFreeze {
-                    family: e.family,
-                    blocks: clamp32(s.block_count()),
-                    cow_clones: e.index.cow_clones(),
-                    nanos: t.elapsed().as_nanos() as u64,
-                });
+            if let (Some(m), Some(t), Some(s)) = (self.obs.metrics_mut(), t, snap.as_ref()) {
                 // Snapshot retention is attributed to the snapshot side
                 // (the live index's MemReport reports the same runs as
-                // "shared"); the gauge tracks the latest freeze.
-                let retained = s.heap_use();
-                if let Some(m) = self.obs.metrics_mut() {
-                    m.gauge_set(
-                        MetricKey::named("snapshot_retained_bytes").family(e.family),
-                        retained as f64,
-                    );
-                }
+                // "shared").
+                let nanos = t.elapsed().as_nanos() as u64;
+                m.observe_freeze(
+                    e.family,
+                    s.block_count(),
+                    e.index.cow_clones(),
+                    nanos,
+                    s.heap_use(),
+                );
             }
             out.push(snap);
         }
@@ -479,46 +441,30 @@ impl UpdateEngine {
         Ok(())
     }
 
-    /// Fan-out for an edge observation already applied to the graph.
+    /// Fan-out for an edge observation already applied to the graph:
+    /// the shared [`batch::fan_out_edge`] over every entry, with no
+    /// per-call allocation.
     fn observe_edge(&mut self, u: NodeId, v: NodeId, inserted: bool) -> UpdateStats {
-        let op = if inserted {
-            OpKind::InsertEdge
-        } else {
-            OpKind::DeleteEdge
-        };
-        let active = self.obs.is_active();
-        if active {
-            self.obs.emit(EventPayload::OpReceived { op });
-        }
-        let op_span = SpanGuard::enter(SpanKind::Op);
         let t = Instant::now();
         // Fold from the absorb identity (satellite 1): the aggregate's
         // `no_op` is true iff every index took its no-op fast path.
         let mut total = UpdateStats::identity();
-        for e in &mut self.entries {
-            let t_idx = if active { Some(Instant::now()) } else { None };
-            let dispatch = SpanGuard::enter_family(SpanKind::IndexDispatch, e.family);
-            let s = if inserted {
-                e.index.on_edge_inserted(&self.g, u, v)
-            } else {
-                e.index.on_edge_deleted(&self.g, u, v)
-            };
-            dispatch.add_blocks(s.splits as u64 + s.merges as u64);
-            dispatch.set_queue_depth(s.queue_peak as u64);
-            drop(dispatch);
-            if let Some(t_idx) = t_idx {
-                self.obs.observe_index_dispatch(
-                    e.family,
-                    op,
-                    &s,
-                    t_idx.elapsed().as_nanos() as u64,
-                );
-            }
-            e.stats.absorb(&s);
-            self.stats.absorb_op(&s);
-            total.absorb(&s);
-        }
-        drop(op_span);
+        let engine_stats = &mut self.stats;
+        let targets = self
+            .entries
+            .iter_mut()
+            .map(|e| -> batch::FanOutTarget<'_> { (e.index.as_mut(), e.family, &mut e.stats) });
+        batch::fan_out_edge(
+            &self.g,
+            (u, v),
+            inserted,
+            targets,
+            self.obs.metrics_mut(),
+            |s| {
+                engine_stats.absorb_op(s);
+                total.absorb(s);
+            },
+        );
         self.stats.observe_op(t.elapsed(), 1);
         self.run_policies();
         self.paranoid_check("edge op");
@@ -559,12 +505,9 @@ impl UpdateEngine {
                     self.stats.rebuilds += 1;
                     let after = e.index.block_count();
                     policy.on_rebuilt(after);
-                    self.obs.emit(EventPayload::RebuildTriggered {
-                        family: e.family,
-                        blocks_before: clamp32(before),
-                        blocks_after: clamp32(after),
-                        nanos: elapsed.as_nanos() as u64,
-                    });
+                    if let Some(m) = self.obs.metrics_mut() {
+                        m.observe_rebuild(e.family, after, elapsed.as_nanos() as u64);
+                    }
                 }
             }
         }
@@ -728,7 +671,7 @@ mod tests {
 
     #[test]
     fn store_reports_land_in_metrics() {
-        use crate::obs::event::IndexFamily;
+        use crate::obs::IndexFamily;
         use crate::obs::MetricKey;
         let (g, ids) = host();
         let mut engine = UpdateEngine::new(g);
@@ -762,12 +705,12 @@ mod tests {
         let mut silent = UpdateEngine::new(host().0);
         silent.register(Box::new(OneIndex::build(silent.graph())));
         silent.publish_store_reports();
-        assert_eq!(silent.obs().events_emitted(), 0);
+        assert!(silent.obs().metrics().is_none());
     }
 
     #[test]
     fn mem_reports_land_in_metrics() {
-        use crate::obs::event::IndexFamily;
+        use crate::obs::IndexFamily;
         use crate::obs::MetricKey;
         let (g, ids) = host();
         let mut engine = UpdateEngine::new(g);
@@ -826,12 +769,12 @@ mod tests {
         let mut silent = UpdateEngine::new(host().0);
         silent.register(Box::new(OneIndex::build(silent.graph())));
         silent.publish_mem_reports();
-        assert_eq!(silent.obs().events_emitted(), 0);
+        assert!(silent.obs().metrics().is_none());
     }
 
     #[test]
     fn freeze_returns_snapshots_and_lands_in_metrics() {
-        use crate::obs::event::IndexFamily;
+        use crate::obs::IndexFamily;
         use crate::obs::MetricKey;
         let (g, ids) = host();
         let mut engine = UpdateEngine::new(g);
@@ -872,13 +815,73 @@ mod tests {
                 .expect("snapshot retention gauge recorded");
             assert!(retained > 0.0);
         }
-        // Freezing with the hub inactive still returns snapshots but
-        // emits nothing.
+        // Freezing with the hub inactive still returns snapshots.
         let mut silent = UpdateEngine::new(host().0);
         silent.register(Box::new(OneIndex::build(silent.graph())));
         let snaps = silent.freeze();
         assert!(snaps[0].is_some());
-        assert_eq!(silent.obs().events_emitted(), 0);
+    }
+
+    #[test]
+    fn node_removal_files_one_op_per_incident_edge_and_one_for_itself() {
+        use crate::obs::MetricKey;
+        let (g, ids) = host();
+        let incident = g.in_degree(ids[&2]) + g.out_degree(ids[&2]);
+        let mut engine = UpdateEngine::new(g);
+        engine.obs_mut().enable_metrics();
+        engine.register(Box::new(OneIndex::build(engine.graph())));
+        engine.remove_node(ids[&2]).unwrap();
+        let m = engine.obs().metrics().unwrap();
+        let ops = |op| m.counter_value(&MetricKey::named("ops_total").op(op));
+        assert_eq!(ops("delete-edge"), incident as u64);
+        assert_eq!(ops("remove-node"), 1);
+        assert_eq!(
+            ops("delete-edge") + ops("remove-node"),
+            engine.stats().ops as u64
+        );
+        // A rejected removal files nothing.
+        assert!(engine.remove_node(ids[&2]).is_err());
+        let m = engine.obs().metrics().unwrap();
+        assert_eq!(
+            m.counter_value(&MetricKey::named("ops_total").op("remove-node")),
+            1
+        );
+    }
+
+    #[test]
+    fn policy_rebuilds_land_in_metrics() {
+        use crate::obs::MetricKey;
+        // Without the host's IDREF the two persons share a block; each
+        // insert splits them and propagate never merges them back.
+        let (g, ids) = GraphBuilder::new()
+            .nodes(&[(1, "site"), (2, "person"), (3, "person"), (4, "auction")])
+            .edges(&[(1, 2), (1, 3), (1, 4)])
+            .root_to(1)
+            .build_with_ids();
+        let mut engine = UpdateEngine::new(g);
+        engine.obs_mut().enable_metrics();
+        let h = engine.register_with_policy(Box::new(PropagateOneIndex::build(engine.graph())));
+        for _ in 0..3 {
+            engine
+                .insert_edge(ids[&4], ids[&2], EdgeKind::IdRef)
+                .unwrap();
+            engine.delete_edge(ids[&4], ids[&2]).unwrap();
+        }
+        let rebuilds = engine.stats().rebuilds;
+        assert!(rebuilds > 0, "the drift fired the policy");
+        let m = engine.obs().metrics().unwrap();
+        let fam = |name| MetricKey::named(name).family(IndexFamily(0));
+        assert_eq!(m.counter_value(&fam("rebuilds_total")), rebuilds as u64);
+        assert_eq!(
+            m.histogram(&fam("rebuild_nanos")).unwrap().count,
+            rebuilds as u64
+        );
+        // The last filing of `final_blocks` is the latest rebuild or
+        // merge phase, so it tracks the live index.
+        assert_eq!(
+            m.gauge_value(&fam("final_blocks")),
+            Some(engine.index(h).block_count() as f64)
+        );
     }
 
     #[test]

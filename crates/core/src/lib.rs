@@ -89,10 +89,7 @@ pub use batch::{
 pub use check::{is_minimal_1index, is_valid_1index, is_valid_ak_chain};
 pub use engine::{EngineStats, IndexHandle, UpdateEngine};
 pub use index::{IndexQueryView, PropagateOneIndex, StructuralIndex};
-pub use obs::{
-    FlightRecorder, JsonlWriter, MetricsRegistry, NullRecorder, ObsHub, Recorder, SpanGuard,
-    SpanKind, SpanTree,
-};
+pub use obs::{MetricsRegistry, ObsHub, SpanGuard, SpanKind, SpanTree};
 pub use oneindex::OneIndex;
 pub use partition::{BlockId, Partition};
 pub use stats::UpdateStats;

@@ -1,10 +1,10 @@
-//! Span-tree exporters: Chrome trace-event JSON and collapsed-stack
-//! folded lines.
+//! Span-tree exporters — every trace format is a projection of the
+//! closed span records: Chrome trace-event JSON, collapsed-stack folded
+//! lines, and deterministic stable lines.
 //!
-//! Both render a finished [`SpanTree`] (see [`crate::obs::span`]) for
-//! external tools:
+//! Each renders a finished [`SpanTree`] (see [`crate::obs::span`]):
 //!
-//! * [`chrome_trace_json`] — the Trace Event Format's complete-event
+//! * [`chrome_trace_json`] — the Chrome trace-event format's complete-event
 //!   (`"ph":"X"`) flavor, loadable in Perfetto (`ui.perfetto.dev`) or
 //!   `chrome://tracing`. `ts`/`dur` are microseconds with nanosecond
 //!   decimals, rendered from integers (no float formatting) so output
@@ -19,6 +19,10 @@
 //!   exclude them) or span counts ([`FoldWeight::Count`], fully
 //!   deterministic for seed-pinned replay comparison — wall-clock never
 //!   enters the output). Lines are sorted; aggregation is a `BTreeMap`.
+//! * [`stable_lines`] — one line per span (id, frame, parent and the
+//!   nonzero counters; no times), so two replays of the same seeded run
+//!   render byte-identical lines. Conformance reproducers and the
+//!   postmortem black box embed the tail of this projection.
 //!
 //! Frame names are `Kind` or `Kind(family)` when the span carries a
 //! family attribution; kernel spans inherit the dispatch family via
@@ -27,9 +31,8 @@
 
 use std::collections::BTreeMap;
 
-use super::event::IndexFamily;
 use super::json::escape_into;
-use super::span::{SpanRecord, SpanTree};
+use super::span::{IndexFamily, SpanRecord, SpanTree};
 
 /// Render `family` through the hub's registration table (slot order of
 /// `ObsHub::register_family`); out-of-table handles get a stable
@@ -159,6 +162,33 @@ pub fn folded_stacks(tree: &SpanTree, families: &[String], weight: FoldWeight) -
     out
 }
 
+/// The deterministic projection of the last `tail` spans (all of them
+/// when the tree is shorter), oldest first: `id Frame parent=p` plus
+/// each nonzero counter. Times never enter a line, so identically
+/// seeded runs render identical lines.
+pub fn stable_lines(tree: &SpanTree, families: &[String], tail: usize) -> Vec<String> {
+    let skip = tree.spans.len().saturating_sub(tail);
+    tree.spans
+        .iter()
+        .skip(skip)
+        .map(|s| {
+            let mut line = format!("{} {} parent={}", s.id, frame_name(s, families), s.parent);
+            let c = &s.counters;
+            for (key, v) in [
+                ("blocks", c.blocks),
+                ("elems", c.elems),
+                ("queue_depth", c.queue_depth),
+                ("cow_clones", c.cow_clones),
+            ] {
+                if v > 0 {
+                    line.push_str(&format!(" {key}={v}"));
+                }
+            }
+            line
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -264,5 +294,69 @@ mod tests {
         };
         let out = folded_stacks(&tree, &[], FoldWeight::Count);
         assert_eq!(out, "xsi;Freeze(family-7) 1\n");
+    }
+
+    #[test]
+    fn stable_lines_render_family_and_every_nonzero_counter() {
+        let mut s = rec(1, 0, SpanKind::Freeze, IndexFamily(1), 5, 9);
+        s.counters = SpanCounters {
+            blocks: 0,
+            elems: 3,
+            queue_depth: 2,
+            cow_clones: 7,
+        };
+        let tree = SpanTree {
+            spans: vec![s],
+            dropped: 0,
+        };
+        let fams = vec!["1-index".to_string(), "A(2)-index".to_string()];
+        assert_eq!(
+            stable_lines(&tree, &fams, 1),
+            ["1 Freeze(A(2)-index) parent=0 elems=3 queue_depth=2 cow_clones=7"]
+        );
+        // Out-of-table handles get the exporters' shared placeholder.
+        assert_eq!(
+            stable_lines(&tree, &[], 1),
+            ["1 Freeze(family-1) parent=0 elems=3 queue_depth=2 cow_clones=7"]
+        );
+    }
+
+    const SAMPLE_LINES: [&str; 4] = [
+        "1 Op parent=0 blocks=1",
+        "2 IndexDispatch(1-index) parent=1 blocks=2",
+        "3 Split parent=2 blocks=3",
+        "4 Merge parent=2 blocks=4",
+    ];
+
+    #[test]
+    fn stable_lines_exclude_time() {
+        let fams = vec!["1-index".to_string()];
+        let lines = stable_lines(&sample(), &fams, 16);
+        assert_eq!(lines, SAMPLE_LINES);
+        // Shifting and stretching every span leaves the lines unchanged.
+        let mut shifted = sample();
+        for s in &mut shifted.spans {
+            s.ts_nanos += 77;
+            s.dur_nanos *= 3;
+        }
+        assert_eq!(stable_lines(&shifted, &fams, 16), lines);
+    }
+
+    #[test]
+    fn stable_lines_within_the_tail_keep_every_span_in_order() {
+        let fams = vec!["1-index".to_string()];
+        // A tail exactly the tree's length, and one past it, keep every
+        // span, oldest first.
+        assert_eq!(stable_lines(&sample(), &fams, 4), SAMPLE_LINES);
+        assert_eq!(stable_lines(&sample(), &fams, 5), SAMPLE_LINES);
+    }
+
+    #[test]
+    fn stable_lines_past_the_tail_keep_the_newest_in_order() {
+        let fams = vec!["1-index".to_string()];
+        assert_eq!(stable_lines(&sample(), &fams, 3), SAMPLE_LINES[1..]);
+        assert_eq!(stable_lines(&sample(), &fams, 2), SAMPLE_LINES[2..]);
+        assert_eq!(stable_lines(&sample(), &fams, 1), SAMPLE_LINES[3..]);
+        assert!(stable_lines(&sample(), &fams, 0).is_empty());
     }
 }

@@ -1,8 +1,10 @@
 //! The metrics registry: counters, gauges, and fixed-bucket histograms
 //! keyed by `(metric name, index family, op kind, phase)`.
 //!
-//! Populated from the same instrumentation events the flight recorder
-//! sees ([`MetricsRegistry::observe_event`]), and exportable two ways:
+//! Filed by typed `observe_*` calls at the places that hold the facts —
+//! the edge fan-out (from each dispatch's [`UpdateStats`]), rebuilds,
+//! batch segments, freezes and the store/mem report publishers — and
+//! exportable two ways:
 //!
 //! * [`MetricsRegistry::to_json`] — machine-readable, the payload of
 //!   the bench driver's `--metrics-out` / `BENCH_*.json` summaries;
@@ -18,8 +20,11 @@
 //! [`MetricsRegistry::to_deterministic_json`] projection (timing
 //! histograms excluded) across identically seeded runs.
 
-use crate::obs::event::{Event, EventPayload, IndexFamily};
 use crate::obs::json::quote;
+use crate::obs::mem::{pow2_bucket_floor, MemReport};
+use crate::obs::span::{BatchSegment, IndexFamily, OpKind};
+use crate::stats::UpdateStats;
+use crate::store::StoreReport;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -108,11 +113,6 @@ impl Histogram {
             }
         }
         self.max
-    }
-
-    /// Raw bucket counts (test/inspection aid).
-    pub fn bucket_counts(&self) -> &[u64] {
-        &self.counts
     }
 }
 
@@ -210,227 +210,154 @@ impl MetricsRegistry {
         self.counters.len() + self.gauges.len() + self.histograms.len()
     }
 
-    /// Files one instrumentation event into the registry. This is the
-    /// single mapping from the event taxonomy to metric series — the
-    /// hub calls it for every emitted event when metrics are enabled.
-    pub fn observe_event(&mut self, ev: &Event) {
-        match ev.payload {
-            EventPayload::OpReceived { op } => {
-                self.counter_add(MetricKey::named("ops_total").op(op.as_str()), 1);
-            }
-            EventPayload::IndexDispatch {
-                family,
-                op,
-                splits,
-                merges,
-                no_op,
-                nanos,
-            } => {
-                let base = MetricKey::named("").family(family).op(op.as_str());
-                self.counter_add(
-                    MetricKey {
-                        name: "splits_total",
-                        ..base
-                    },
-                    splits.into(),
-                );
-                self.counter_add(
-                    MetricKey {
-                        name: "merges_total",
-                        ..base
-                    },
-                    merges.into(),
-                );
-                if no_op {
-                    self.counter_add(
-                        MetricKey {
-                            name: "no_ops_total",
-                            ..base
-                        },
-                        1,
-                    );
-                }
-                self.observe(
-                    MetricKey {
-                        name: "dispatch_nanos",
-                        ..base
-                    },
-                    nanos,
-                );
-            }
-            EventPayload::SplitPhase {
-                family,
-                splits: _,
-                intermediate_blocks,
-                queue_peak,
-                nanos,
-            } => {
-                let base = MetricKey::named("").family(family).phase("split");
-                self.observe(
-                    MetricKey {
-                        name: "phase_nanos",
-                        ..base
-                    },
-                    nanos,
-                );
-                self.observe(
-                    MetricKey {
-                        name: "intermediate_blocks",
-                        ..base
-                    },
-                    intermediate_blocks.into(),
-                );
-                self.observe(
-                    MetricKey {
-                        name: "queue_peak",
-                        ..base
-                    },
-                    queue_peak.into(),
-                );
-            }
-            EventPayload::MergePhase {
-                family,
-                merges: _,
-                final_blocks,
-                nanos,
-            } => {
-                let base = MetricKey::named("").family(family).phase("merge");
-                self.observe(
-                    MetricKey {
-                        name: "phase_nanos",
-                        ..base
-                    },
-                    nanos,
-                );
-                self.gauge_set(
-                    MetricKey::named("final_blocks").family(family),
-                    final_blocks.into(),
-                );
-            }
-            EventPayload::RankMaintenance {
-                family,
-                levels_touched,
-            } => {
-                self.observe(
-                    MetricKey::named("rank_levels_touched").family(family),
-                    levels_touched.into(),
-                );
-            }
-            EventPayload::RebuildTriggered {
-                family,
-                blocks_before: _,
-                blocks_after,
-                nanos,
-            } => {
-                self.counter_add(MetricKey::named("rebuilds_total").family(family), 1);
-                self.observe(MetricKey::named("rebuild_nanos").family(family), nanos);
-                self.gauge_set(
-                    MetricKey::named("final_blocks").family(family),
-                    blocks_after.into(),
-                );
-            }
-            EventPayload::BatchSegment { segment, ops } => {
-                let base = MetricKey::named("").phase(segment.as_str());
-                self.counter_add(
-                    MetricKey {
-                        name: "batch_segments_total",
-                        ..base
-                    },
-                    1,
-                );
-                self.counter_add(
-                    MetricKey {
-                        name: "batch_ops_total",
-                        ..base
-                    },
-                    ops.into(),
-                );
-            }
-            EventPayload::OracleCheck { checks, failed } => {
-                self.counter_add(MetricKey::named("oracle_checks_total"), checks.into());
-                if failed {
-                    self.counter_add(MetricKey::named("oracle_failures_total"), 1);
-                }
-            }
-            EventPayload::StoreReport {
-                family,
-                inline_maps,
-                spilled_maps,
-                spill_events,
-                entries,
-                max_entries,
-                probe_total,
-            } => {
-                let g = |name| MetricKey::named(name).family(family);
-                self.gauge_set(g("store_inline_maps"), inline_maps.into());
-                self.gauge_set(g("store_spilled_maps"), spilled_maps.into());
-                self.gauge_set(g("store_spill_events"), spill_events.into());
-                self.gauge_set(g("store_entries"), entries.into());
-                self.gauge_set(g("store_max_entries"), max_entries.into());
-                // One histogram sample per published report: the mean
-                // worst-case probe length across the index's live maps.
-                let maps = u64::from(inline_maps) + u64::from(spilled_maps);
-                if let Some(mean) = probe_total.checked_div(maps) {
-                    self.observe(g("store_probe_len"), mean);
-                }
-            }
-            EventPayload::SnapshotFreeze {
-                family,
-                blocks,
-                cow_clones,
-                nanos,
-            } => {
-                let k = |name| MetricKey::named(name).family(family);
-                self.counter_add(k("snapshots_total"), 1);
-                // `_nanos` histograms are excluded from the deterministic
-                // JSON projection automatically.
-                self.observe(k("snapshot_freeze_nanos"), nanos);
-                self.observe(k("snapshot_blocks"), blocks.into());
-                self.gauge_set(k("snapshot_cow_clones"), cow_clones as f64);
-            }
-            EventPayload::MemReport {
-                family,
-                total_bytes,
-                extent_owned_bytes,
-                extent_shared_bytes,
-                iedge_spilled_bytes,
-                inline_maps,
-                spilled_maps,
-                shared_extents,
-                blocks,
-                minimum_blocks,
-            } => {
-                let g = |name| MetricKey::named(name).family(family);
-                self.gauge_set(g("mem_total_bytes"), total_bytes as f64);
-                self.gauge_set(g("mem_extent_owned_bytes"), extent_owned_bytes as f64);
-                self.gauge_set(g("mem_extent_shared_bytes"), extent_shared_bytes as f64);
-                self.gauge_set(g("mem_iedge_spilled_bytes"), iedge_spilled_bytes as f64);
-                self.gauge_set(g("mem_iedge_inline_maps"), inline_maps.into());
-                self.gauge_set(g("mem_iedge_spilled_maps"), spilled_maps.into());
-                self.gauge_set(g("mem_shared_extents"), shared_extents.into());
-                self.gauge_set(g("mem_blocks"), blocks.into());
-                let extent_total = extent_owned_bytes + extent_shared_bytes;
-                if extent_total > 0 {
-                    self.gauge_set(
-                        g("mem_sharing_ratio"),
-                        extent_shared_bytes as f64 / extent_total as f64,
-                    );
-                }
-                // Quality telemetry: the rebuild-to-minimum oracle's
-                // denominator and the excess over it (0 = minimum).
-                self.gauge_set(g("quality_minimum_blocks"), minimum_blocks.into());
-                self.gauge_set(
-                    g("quality_blocks_over_minimum"),
-                    blocks.saturating_sub(minimum_blocks).into(),
-                );
-            }
+    /// Files one operation entering the pipeline (`ops_total`).
+    pub fn observe_op(&mut self, op: OpKind) {
+        self.counter_add(MetricKey::named("ops_total").op(op.as_str()), 1);
+    }
+
+    /// Files one index dispatch from the [`UpdateStats`] it returned:
+    /// split/merge/no-op counters and the dispatch latency `nanos`,
+    /// plus — unless the index took its no-op fast path — the split-
+    /// and merge-phase breakdown of §5.1 (phase nanos, |Φ₁|, the
+    /// work-queue peak, |Φ₂|) and any A(k) chain levels touched.
+    pub fn observe_dispatch(
+        &mut self,
+        family: IndexFamily,
+        op: OpKind,
+        s: &UpdateStats,
+        nanos: u64,
+    ) {
+        let k = |name| MetricKey::named(name).family(family).op(op.as_str());
+        self.counter_add(k("splits_total"), s.splits as u64);
+        self.counter_add(k("merges_total"), s.merges as u64);
+        if s.no_op {
+            self.counter_add(k("no_ops_total"), 1);
+        }
+        self.observe(k("dispatch_nanos"), nanos);
+        if s.no_op {
+            return;
+        }
+        let split = |name| MetricKey::named(name).family(family).phase("split");
+        self.observe(split("phase_nanos"), s.split_nanos);
+        self.observe(split("intermediate_blocks"), s.intermediate_blocks as u64);
+        self.observe(split("queue_peak"), s.queue_peak as u64);
+        self.observe(
+            MetricKey::named("phase_nanos")
+                .family(family)
+                .phase("merge"),
+            s.merge_nanos,
+        );
+        self.gauge_set(
+            MetricKey::named("final_blocks").family(family),
+            s.final_blocks as f64,
+        );
+        if s.levels_touched > 0 {
+            self.observe(
+                MetricKey::named("rank_levels_touched").family(family),
+                s.levels_touched as u64,
+            );
         }
     }
 
+    /// Files one policy-triggered rebuild that left the index at
+    /// `blocks_after` blocks and took `nanos`.
+    pub fn observe_rebuild(&mut self, family: IndexFamily, blocks_after: usize, nanos: u64) {
+        let k = |name| MetricKey::named(name).family(family);
+        self.counter_add(k("rebuilds_total"), 1);
+        self.observe(k("rebuild_nanos"), nanos);
+        self.gauge_set(k("final_blocks"), blocks_after as f64);
+    }
+
+    /// Files one non-empty batch segment that applied `ops` primitive
+    /// graph mutations.
+    pub fn observe_batch_segment(&mut self, segment: BatchSegment, ops: usize) {
+        let k = |name| MetricKey::named(name).phase(segment.as_str());
+        self.counter_add(k("batch_segments_total"), 1);
+        self.counter_add(k("batch_ops_total"), ops as u64);
+    }
+
+    /// Files one index frozen into a snapshot of `blocks` blocks in
+    /// `nanos`: the index's cumulative CoW clone count after the freeze
+    /// and the heap the snapshot retains (the gauges track the latest
+    /// freeze).
+    pub fn observe_freeze(
+        &mut self,
+        family: IndexFamily,
+        blocks: usize,
+        cow_clones: u64,
+        nanos: u64,
+        retained_bytes: usize,
+    ) {
+        let k = |name| MetricKey::named(name).family(family);
+        self.counter_add(k("snapshots_total"), 1);
+        // `_nanos` histograms are excluded from the deterministic JSON
+        // projection automatically.
+        self.observe(k("snapshot_freeze_nanos"), nanos);
+        self.observe(k("snapshot_blocks"), blocks as u64);
+        self.gauge_set(k("snapshot_cow_clones"), cow_clones as f64);
+        self.gauge_set(k("snapshot_retained_bytes"), retained_bytes as f64);
+    }
+
+    /// Files one index's point-in-time [`StoreReport`] as `store_*`
+    /// gauges plus one `store_probe_len` sample: the mean worst-case
+    /// probe length across the index's live maps.
+    pub fn observe_store_report(&mut self, family: IndexFamily, r: &StoreReport) {
+        let g = |name| MetricKey::named(name).family(family);
+        self.gauge_set(g("store_inline_maps"), r.inline_maps as f64);
+        self.gauge_set(g("store_spilled_maps"), r.spilled_maps as f64);
+        self.gauge_set(g("store_spill_events"), r.spill_events as f64);
+        self.gauge_set(g("store_entries"), r.entries as f64);
+        self.gauge_set(g("store_max_entries"), r.max_entries as f64);
+        if let Some(mean) = r.probe_total.checked_div(r.inline_maps + r.spilled_maps) {
+            self.observe(g("store_probe_len"), mean);
+        }
+    }
+
+    /// Files one index's point-in-time [`MemReport`]: deep byte
+    /// categories as `mem_*` gauges, the extent-length and
+    /// inline-occupancy histograms transplanted bucket for bucket, and
+    /// the quality telemetry — `blocks` live against the
+    /// rebuild-to-minimum oracle's `minimum_blocks`.
+    pub fn observe_mem_report(
+        &mut self,
+        family: IndexFamily,
+        r: &MemReport,
+        blocks: usize,
+        minimum_blocks: usize,
+    ) {
+        let g = |name| MetricKey::named(name).family(family);
+        for (b, &c) in r.extent_len_hist.iter().enumerate() {
+            self.observe_n(g("mem_extent_len"), pow2_bucket_floor(b), c);
+        }
+        for (occ, &c) in r.inline_occupancy_hist.iter().enumerate() {
+            self.observe_n(g("mem_iedge_inline_occupancy"), occ as u64, c);
+        }
+        self.gauge_set(g("mem_total_bytes"), r.total_bytes() as f64);
+        self.gauge_set(g("mem_extent_owned_bytes"), r.extent_owned_bytes as f64);
+        self.gauge_set(g("mem_extent_shared_bytes"), r.extent_shared_bytes as f64);
+        self.gauge_set(g("mem_iedge_spilled_bytes"), r.iedge_spilled_bytes as f64);
+        self.gauge_set(g("mem_iedge_inline_maps"), r.iedge_inline_maps as f64);
+        self.gauge_set(g("mem_iedge_spilled_maps"), r.iedge_spilled_maps as f64);
+        self.gauge_set(g("mem_shared_extents"), r.shared_extents as f64);
+        self.gauge_set(g("mem_blocks"), blocks as f64);
+        let extent_total = r.extent_owned_bytes + r.extent_shared_bytes;
+        if extent_total > 0 {
+            self.gauge_set(
+                g("mem_sharing_ratio"),
+                r.extent_shared_bytes as f64 / extent_total as f64,
+            );
+        }
+        self.gauge_set(g("quality_minimum_blocks"), minimum_blocks as f64);
+        self.gauge_set(
+            g("quality_blocks_over_minimum"),
+            blocks.saturating_sub(minimum_blocks) as f64,
+        );
+    }
+
     /// Records `count` identical histogram samples at `v` in one call —
-    /// how `publish_mem_reports` transplants a whole pre-bucketed
-    /// distribution (extent lengths, inline occupancies) into the
-    /// registry without replaying every individual sample.
+    /// how [`MetricsRegistry::observe_mem_report`] transplants a whole
+    /// pre-bucketed distribution (extent lengths, inline occupancies)
+    /// into the registry without replaying every individual sample.
     pub fn observe_n(&mut self, key: MetricKey, v: u64, count: u64) {
         self.histograms.entry(key).or_default().observe_n(v, count);
     }
@@ -713,6 +640,25 @@ mod tests {
             Some("queue_peak")
         );
         assert_eq!(det.get("counters").unwrap().as_arr().unwrap().len(), 1);
+    }
+
+    #[test]
+    fn store_report_without_maps_files_no_probe_sample() {
+        let mut r = MetricsRegistry::new();
+        let report = StoreReport {
+            inline_maps: 3,
+            spilled_maps: 1,
+            probe_total: 10,
+            ..StoreReport::default()
+        };
+        r.observe_store_report(IndexFamily(0), &report);
+        r.observe_store_report(IndexFamily(1), &StoreReport::default());
+        let probe = |f| MetricKey::named("store_probe_len").family(IndexFamily(f));
+        // Mean worst-case probe length: 10 / (3 + 1), integer division.
+        assert_eq!(r.histogram(&probe(0)).unwrap().max, 2);
+        assert!(r.histogram(&probe(1)).is_none());
+        let inline = MetricKey::named("store_inline_maps").family(IndexFamily(1));
+        assert_eq!(r.gauge_value(&inline), Some(0.0));
     }
 
     /// Golden test for the Prometheus text exposition format.

@@ -1,156 +1,72 @@
 //! `core::obs` — the dependency-free observability layer for the update
-//! pipeline: a flight-recorder event stream plus a metrics registry,
-//! fed from the same instrumentation points (see DESIGN.md §8).
+//! pipeline (see DESIGN.md §8).
 //!
 //! The paper's empirical argument (§5.1, Figs. 5/7/8) is about
 //! *counting what an update did* — splits, merges, the intermediate
-//! blow-up |Φ₁|, affected blocks. This module makes those counts (and
-//! per-phase wall-clock time) observable without adding any registry
-//! dependency: the JSON writer, the Prometheus exporter, and the JSONL
-//! trace format are all hand-rolled ([`json`]), keeping tier-1 fully
-//! offline per the PR-1 policy.
+//! blow-up |Φ₁|, affected blocks. Two facts carry those counts:
 //!
-//! Structure:
+//! * the [`crate::stats::UpdateStats`] every index dispatch returns;
+//! * the closed [`SpanRecord`]s of the causal span tree ([`span`]),
+//!   which attribute wall-clock time and work counters layer by layer.
 //!
-//! * [`event`] — the typed event model ([`Event`], [`EventPayload`],
-//!   static [`CallsiteId`]s, compact [`IndexFamily`] handles);
-//! * [`recorder`] — pluggable sinks: [`NullRecorder`],
-//!   [`FlightRecorder`] (ring buffer, overwrite-oldest),
-//!   [`JsonlWriter`];
+//! Everything else is derived from them:
+//!
 //! * [`metrics`] — [`MetricsRegistry`]: counters / gauges / power-of-two
-//!   bucket histograms keyed by `(name, family, op, phase)`;
+//!   bucket histograms keyed by `(name, family, op, phase)`, filed by
+//!   typed calls where the facts are held (the edge fan-out, rebuilds,
+//!   batch segments, freezes, the report publishers);
+//! * [`export`] — the trace formats, all projections of a [`SpanTree`]:
+//!   Chrome trace-event JSON, folded stacks, and the deterministic
+//!   stable lines that conformance reproducers and the [`postmortem`]
+//!   black box embed;
 //! * [`ObsHub`] (here) — what the [`crate::engine::UpdateEngine`] owns:
-//!   one recorder + one optional registry + the family table + the
-//!   sequence counter and monotonic epoch.
+//!   the index family table and an optional metrics registry.
 //!
-//! The hub is **disabled by default** ([`ObsHub::disabled`]): no
-//! recorder, no metrics, and [`ObsHub::is_active`] is `false`, so
-//! instrumented code skips payload construction and clock reads
-//! entirely. `benches/obs_overhead.rs` in `xsi-bench` verifies the
-//! disabled path is within noise of the pre-instrumentation engine.
+//! The JSON writer and the Prometheus exporter are hand-rolled
+//! ([`json`]), keeping tier-1 fully offline. The hub is **disabled by
+//! default** ([`ObsHub::disabled`]): no registry, [`ObsHub::is_active`]
+//! is `false`, and instrumented code skips its clock reads entirely.
+//! `benches/obs_overhead.rs` in `xsi-bench` verifies the disabled path
+//! is within noise of the direct index calls.
 
-pub mod event;
 pub mod export;
 pub mod json;
 pub mod mem;
 pub mod metrics;
 pub mod postmortem;
-pub mod recorder;
 pub mod span;
 
-pub use event::{callsite, BatchSegment, CallsiteId, Event, EventPayload, IndexFamily, OpKind};
-pub use export::{chrome_trace_json, folded_stacks, FoldWeight};
+pub use export::{chrome_trace_json, folded_stacks, stable_lines, FoldWeight};
 pub use mem::{HeapUse, MemReport};
 pub use metrics::{Histogram, MetricKey, MetricsRegistry};
-pub use recorder::{FlightRecorder, JsonlWriter, NullRecorder, Recorder};
-pub use span::{SpanCounters, SpanGuard, SpanKind, SpanRecord, SpanTree};
+pub use span::{
+    BatchSegment, IndexFamily, OpKind, SpanCounters, SpanGuard, SpanKind, SpanRecord, SpanTree,
+};
 
-use crate::stats::UpdateStats;
-use std::time::Instant;
-
-/// Saturating `usize` → `u32` for event counters (an individual op
-/// never realistically exceeds `u32`, but never silently wrap).
-#[inline]
-pub(crate) fn clamp32(v: usize) -> u32 {
-    v.min(u32::MAX as usize) as u32
-}
-
-/// The observability hub an [`crate::engine::UpdateEngine`] owns: one
-/// pluggable [`Recorder`], an optional [`MetricsRegistry`], the index
-/// family table, and the event sequence counter / time epoch.
+/// The observability hub an [`crate::engine::UpdateEngine`] owns: the
+/// index family table and an optional [`MetricsRegistry`].
 ///
 /// Single-writer like the engine itself — no locks, no channels; the
-/// "lock-free-ish" flight recorder is a plain ring buffer reached only
-/// through the engine's `&mut self` methods.
+/// registry is reached only through the engine's `&mut self` methods.
+#[derive(Debug, Default)]
 pub struct ObsHub {
-    /// `None` means tracing disabled (cheaper than a boxed
-    /// [`NullRecorder`]: the hub can skip event construction).
-    recorder: Option<Box<dyn Recorder>>,
-    /// Cached at [`ObsHub::set_recorder`] time: the installed recorder
-    /// is a [`NullRecorder`] (`describe() == "null"`), so event
-    /// construction can be skipped exactly as if no recorder were
-    /// installed — keeping the documented ~zero-cost promise without a
-    /// virtual call per candidate event.
-    recorder_is_null: bool,
     metrics: Option<MetricsRegistry>,
     families: Vec<String>,
-    seq: u64,
-    epoch: Instant,
-}
-
-impl Default for ObsHub {
-    fn default() -> Self {
-        Self::disabled()
-    }
-}
-
-impl std::fmt::Debug for ObsHub {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ObsHub")
-            .field(
-                "recorder",
-                &self
-                    .recorder
-                    .as_ref()
-                    .map(|r| r.describe())
-                    .unwrap_or("off"),
-            )
-            .field("metrics", &self.metrics.is_some())
-            .field("families", &self.families)
-            .field("seq", &self.seq)
-            .finish()
-    }
 }
 
 impl ObsHub {
-    /// A fully inactive hub: no recorder, no metrics. Instrumented code
-    /// checks [`ObsHub::is_active`] and skips everything.
+    /// A fully inactive hub: no metrics. Instrumented code checks
+    /// [`ObsHub::is_active`] and skips everything.
     pub fn disabled() -> Self {
-        ObsHub {
-            recorder: None,
-            recorder_is_null: false,
-            metrics: None,
-            families: Vec::new(),
-            seq: 0,
-            epoch: Instant::now(),
-        }
+        Self::default()
     }
 
-    /// Whether any sink wants events. Instrumentation points gate their
-    /// payload construction *and their clock reads* on this, so the
-    /// disabled hub costs one branch per callsite. An installed
-    /// [`NullRecorder`] counts as inactive (it would discard every
-    /// event anyway), keeping the instrumented fast path within noise
-    /// of the uninstrumented engine.
+    /// Whether metrics are being filed. Instrumentation points gate
+    /// their clock reads on this, so the disabled hub costs one branch
+    /// per callsite.
     #[inline]
     pub fn is_active(&self) -> bool {
-        (self.recorder.is_some() && !self.recorder_is_null) || self.metrics.is_some()
-    }
-
-    /// Installs a recorder (replacing any previous one, which is
-    /// returned after a final flush).
-    pub fn set_recorder(&mut self, r: Box<dyn Recorder>) -> Option<Box<dyn Recorder>> {
-        self.recorder_is_null = r.describe() == "null";
-        let mut old = self.recorder.replace(r);
-        if let Some(prev) = old.as_mut() {
-            prev.flush();
-        }
-        old
-    }
-
-    /// Removes the recorder (after a final flush), returning it.
-    pub fn take_recorder(&mut self) -> Option<Box<dyn Recorder>> {
-        self.recorder_is_null = false;
-        let mut old = self.recorder.take();
-        if let Some(prev) = old.as_mut() {
-            prev.flush();
-        }
-        old
-    }
-
-    /// Read access to the installed recorder.
-    pub fn recorder(&self) -> Option<&dyn Recorder> {
-        self.recorder.as_deref()
+        self.metrics.is_some()
     }
 
     /// Turns the metrics registry on (idempotent).
@@ -165,9 +81,8 @@ impl ObsHub {
         self.metrics.as_ref()
     }
 
-    /// Mutable access to the metrics registry, for publishers that feed
-    /// whole distributions (e.g. the mem-report's extent-length and
-    /// inline-occupancy histograms) rather than single event payloads.
+    /// Mutable access to the metrics registry, if enabled — what the
+    /// instrumentation points file their typed observations into.
     pub fn metrics_mut(&mut self) -> Option<&mut MetricsRegistry> {
         self.metrics.as_mut()
     }
@@ -189,125 +104,6 @@ impl ObsHub {
     /// The registered family names, handle order.
     pub fn families(&self) -> &[String] {
         &self.families
-    }
-
-    /// Resolves a family handle to its name (empty for
-    /// [`IndexFamily::NONE`]).
-    pub fn family_name(&self, f: IndexFamily) -> String {
-        if f == IndexFamily::NONE {
-            String::new()
-        } else {
-            self.families
-                .get(f.0 as usize)
-                .cloned()
-                .unwrap_or_else(|| format!("family-{}", f.0))
-        }
-    }
-
-    /// Total events emitted so far (the next event's sequence number).
-    pub fn events_emitted(&self) -> u64 {
-        self.seq
-    }
-
-    /// Emits one event to the active sinks. No-op when inactive, but
-    /// callers on hot paths should gate on [`ObsHub::is_active`] to
-    /// also skip building the payload.
-    #[inline]
-    pub fn emit(&mut self, payload: EventPayload) {
-        if !self.is_active() {
-            return;
-        }
-        self.emit_slow(payload);
-    }
-
-    fn emit_slow(&mut self, payload: EventPayload) {
-        let ev = Event {
-            seq: self.seq,
-            ts_nanos: self.epoch.elapsed().as_nanos() as u64,
-            callsite: payload.callsite(),
-            payload,
-        };
-        self.seq += 1;
-        if let Some(r) = self.recorder.as_mut() {
-            r.record(&ev);
-        }
-        if let Some(m) = self.metrics.as_mut() {
-            m.observe_event(&ev);
-        }
-    }
-
-    /// The standard per-index fan-out instrumentation: one
-    /// `index-dispatch` summary event, plus (for non-no-ops) the
-    /// `split-phase` / `merge-phase` breakdown and, when the index
-    /// reported refinement-chain work, a `rank-maintenance` event —
-    /// all derived from the phase counters the maintenance algorithms
-    /// record into [`UpdateStats`].
-    pub fn observe_index_dispatch(
-        &mut self,
-        family: IndexFamily,
-        op: OpKind,
-        s: &UpdateStats,
-        nanos: u64,
-    ) {
-        if !self.is_active() {
-            return;
-        }
-        self.emit(EventPayload::IndexDispatch {
-            family,
-            op,
-            splits: clamp32(s.splits),
-            merges: clamp32(s.merges),
-            no_op: s.no_op,
-            nanos,
-        });
-        if s.no_op {
-            return;
-        }
-        self.emit(EventPayload::SplitPhase {
-            family,
-            splits: clamp32(s.splits),
-            intermediate_blocks: clamp32(s.intermediate_blocks),
-            queue_peak: clamp32(s.queue_peak),
-            nanos: s.split_nanos,
-        });
-        self.emit(EventPayload::MergePhase {
-            family,
-            merges: clamp32(s.merges),
-            final_blocks: clamp32(s.final_blocks),
-            nanos: s.merge_nanos,
-        });
-        if s.levels_touched > 0 {
-            self.emit(EventPayload::RankMaintenance {
-                family,
-                levels_touched: clamp32(s.levels_touched),
-            });
-        }
-    }
-
-    /// Flushes the recorder (e.g. before reading an output file).
-    pub fn flush(&mut self) {
-        if let Some(r) = self.recorder.as_mut() {
-            r.flush();
-        }
-    }
-
-    /// Snapshot of the recorder's retained events (empty when tracing
-    /// is off or the recorder does not retain).
-    pub fn flight_events(&self) -> Vec<Event> {
-        self.recorder
-            .as_ref()
-            .map(|r| r.events())
-            .unwrap_or_default()
-    }
-
-    /// The retained events rendered through [`Event::stable_line`]:
-    /// the deterministic projection (no timestamps/durations) that
-    /// conformance reproducers embed and replay compares.
-    pub fn stable_trace(&self) -> Vec<String> {
-        self.flight_events()
-            .iter()
-            .map(|e| e.stable_line(|f| self.family_name(f)))
-            .collect()
     }
 
     /// Metrics as JSON (`{}`-shaped empty document when disabled).
@@ -339,17 +135,26 @@ impl ObsHub {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::UpdateStats;
 
     #[test]
     fn disabled_hub_is_inert() {
-        let mut hub = ObsHub::disabled();
+        let hub = ObsHub::disabled();
         assert!(!hub.is_active());
-        hub.emit(EventPayload::OpReceived {
-            op: OpKind::InsertEdge,
-        });
-        assert_eq!(hub.events_emitted(), 0);
-        assert!(hub.flight_events().is_empty());
         assert!(hub.metrics().is_none());
+        assert!(hub.metrics_prometheus().is_empty());
+    }
+
+    #[test]
+    fn disabled_hub_retains_no_series_after_registration() {
+        let mut hub = ObsHub::disabled();
+        hub.register_family("1-index");
+        hub.register_family("A(2)-index");
+        assert!(hub.metrics_mut().is_none());
+        let empty = r#"{"format":"xsi-metrics-v1","counters":[],"gauges":[],"histograms":[]}"#;
+        assert_eq!(hub.metrics_json(), empty);
+        assert_eq!(hub.metrics_deterministic_json(), empty);
+        assert!(hub.metrics_prometheus().is_empty());
     }
 
     #[test]
@@ -360,19 +165,15 @@ mod tests {
         let a2 = hub.register_family("1-index");
         assert_eq!(a, a2);
         assert_ne!(a, b);
-        assert_eq!(hub.family_name(a), "1-index");
-        assert_eq!(hub.family_name(IndexFamily::NONE), "");
+        assert_eq!(hub.families()[a.0 as usize], "1-index");
+        assert_eq!(hub.families(), ["1-index", "A(2)-index"]);
     }
 
     #[test]
-    fn emit_feeds_both_sinks_with_monotonic_seq() {
+    fn dispatch_files_counters_and_phase_breakdown() {
         let mut hub = ObsHub::disabled();
-        hub.set_recorder(Box::new(FlightRecorder::new(16)));
         hub.enable_metrics();
         let fam = hub.register_family("1-index");
-        hub.emit(EventPayload::OpReceived {
-            op: OpKind::DeleteEdge,
-        });
         let stats = UpdateStats {
             splits: 2,
             merges: 1,
@@ -384,54 +185,47 @@ mod tests {
             queue_peak: 3,
             levels_touched: 2,
         };
-        hub.observe_index_dispatch(fam, OpKind::DeleteEdge, &stats, 123);
+        let m = hub.metrics_mut().unwrap();
+        m.observe_op(OpKind::DeleteEdge);
+        m.observe_dispatch(fam, OpKind::DeleteEdge, &stats, 123);
 
-        // op-received + dispatch + split + merge + rank = 5 events.
-        let evs = hub.flight_events();
-        assert_eq!(evs.len(), 5);
-        let seqs: Vec<u64> = evs.iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, vec![0, 1, 2, 3, 4]);
-        assert_eq!(evs[2].callsite, callsite::SPLIT_PHASE);
-        assert_eq!(evs[4].callsite, callsite::RANK_MAINTENANCE);
-
-        // Metrics saw the same events.
         let m = hub.metrics().unwrap();
         assert_eq!(
             m.counter_value(&MetricKey::named("ops_total").op("delete-edge")),
             1
         );
+        let delete = |name| MetricKey::named(name).family(fam).op("delete-edge");
+        assert_eq!(m.counter_value(&delete("splits_total")), 2);
+        assert_eq!(m.counter_value(&delete("merges_total")), 1);
+        assert_eq!(m.histogram(&delete("dispatch_nanos")).unwrap().max, 123);
+        let split = |name| MetricKey::named(name).family(fam).phase("split");
+        assert_eq!(m.histogram(&split("queue_peak")).unwrap().max, 3);
+        assert_eq!(m.histogram(&split("intermediate_blocks")).unwrap().max, 12);
         assert_eq!(
-            m.counter_value(
-                &MetricKey::named("splits_total")
-                    .family(fam)
-                    .op("delete-edge")
-            ),
-            2
+            m.gauge_value(&MetricKey::named("final_blocks").family(fam)),
+            Some(11.0)
         );
-        let qp = m
-            .histogram(&MetricKey::named("queue_peak").family(fam).phase("split"))
-            .unwrap();
-        assert_eq!(qp.max, 3);
-
-        // The stable trace renders family names and no timestamps.
-        let trace = hub.stable_trace();
-        assert_eq!(trace.len(), 5);
-        assert!(trace[1].contains("family=1-index"));
-        assert!(!trace[1].contains("nanos"));
+        let levels = MetricKey::named("rank_levels_touched").family(fam);
+        assert_eq!(m.histogram(&levels).unwrap().max, 2);
     }
 
     #[test]
     fn no_op_dispatch_emits_only_the_summary() {
         let mut hub = ObsHub::disabled();
-        hub.set_recorder(Box::new(FlightRecorder::new(8)));
+        hub.enable_metrics();
         let fam = hub.register_family("1-index");
         let stats = UpdateStats {
             no_op: true,
             ..UpdateStats::identity()
         };
-        hub.observe_index_dispatch(fam, OpKind::InsertEdge, &stats, 7);
-        let evs = hub.flight_events();
-        assert_eq!(evs.len(), 1);
-        assert_eq!(evs[0].callsite, callsite::INDEX_DISPATCH);
+        hub.metrics_mut()
+            .unwrap()
+            .observe_dispatch(fam, OpKind::InsertEdge, &stats, 7);
+        let m = hub.metrics().unwrap();
+        let insert = |name| MetricKey::named(name).family(fam).op("insert-edge");
+        assert_eq!(m.counter_value(&insert("no_ops_total")), 1);
+        assert_eq!(m.histogram(&insert("dispatch_nanos")).unwrap().count, 1);
+        // No phase breakdown: one counter trio plus the latency sample.
+        assert_eq!(m.series_count(), 4);
     }
 }

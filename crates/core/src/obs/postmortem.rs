@@ -3,7 +3,7 @@
 //! A long fuzz soak or benchmark run that dies with a panic loses the
 //! most valuable evidence: *where in the pipeline* the panic fired and
 //! *what the engine looked like* just before. This module is the
-//! flight-recorder black box for that case, in two halves:
+//! black box for that case, in two halves:
 //!
 //! 1. **Capture** ([`arm`]): a `std::panic` hook that runs *before*
 //!    unwinding destroys the open [`crate::obs::span::SpanGuard`]s, so
@@ -13,8 +13,9 @@
 //!    never touches the engine (which may be mid-mutation).
 //! 2. **Dump** ([`write_blackbox`]): the driver wraps its workload in
 //!    `catch_unwind`; on `Err` it combines the capture with whatever it
-//!    can still read — the obs hub's flight-recorder tail and the last
-//!    `mem-report` — and writes one JSONL black-box file. Each line is
+//!    can still read — the stable-line tail of the closed spans
+//!    ([`crate::obs::export::stable_lines`]) and the last `mem-report`
+//!    — and writes one JSONL black-box file. Each line is
 //!    a self-describing `{"kind": ...}` record so partial files are
 //!    still parseable line by line.
 //!
@@ -99,12 +100,12 @@ pub fn clear() {
 
 /// Renders the black-box JSONL content: one `panic` line (from the
 /// capture, or a placeholder if the hook never fired), one `trace` line
-/// per flight-recorder tail entry, and one `mem-report` line when the
+/// per span-trace tail entry, and one `mem-report` line when the
 /// driver still has one. Pure function of its inputs — the writing
 /// wrapper and the selftest share it.
 pub fn blackbox_jsonl(
     capture: Option<&PanicCapture>,
-    flight_tail: &[String],
+    trace_tail: &[String],
     mem_report_json: Option<&str>,
 ) -> String {
     let mut out = String::new();
@@ -121,7 +122,7 @@ pub fn blackbox_jsonl(
         quote(&cap.thread),
         spans.join(",")
     ));
-    for line in flight_tail {
+    for line in trace_tail {
         out.push_str(&format!(
             "{{\"kind\":\"trace\",\"line\":{}}}\n",
             quote(line)
@@ -141,10 +142,10 @@ pub fn blackbox_jsonl(
 pub fn write_blackbox(
     path: &std::path::Path,
     capture: Option<&PanicCapture>,
-    flight_tail: &[String],
+    trace_tail: &[String],
     mem_report_json: Option<&str>,
 ) -> std::io::Result<usize> {
-    let content = blackbox_jsonl(capture, flight_tail, mem_report_json);
+    let content = blackbox_jsonl(capture, trace_tail, mem_report_json);
     let mut f = std::fs::File::create(path)?;
     f.write_all(content.as_bytes())?;
     f.flush()?;
@@ -163,7 +164,7 @@ mod tests {
             thread: "main".to_string(),
             open_spans: vec!["Op".to_string(), "Split[0]".to_string()],
         };
-        let tail = vec!["{\"event\":\"op-received\"}".to_string()];
+        let tail = vec!["1 Op parent=0".to_string()];
         let text = blackbox_jsonl(Some(&cap), &tail, Some("{\"total\":1}"));
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 3);

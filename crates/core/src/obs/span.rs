@@ -1,13 +1,14 @@
-//! Hierarchical causal spans over the update pipeline.
+//! Hierarchical causal spans over the update pipeline — with the
+//! [`crate::stats::UpdateStats`] each index dispatch returns, the only
+//! instrumentation fact the pipeline records (DESIGN.md §8).
 //!
-//! The flight recorder (PR 3) answers *what happened* — flat events with
-//! aggregate phase nanos. It cannot answer *which compound block inside
-//! a `process_compounds` run ate the time*, which is the visibility the
-//! ROADMAP perf items (extent sharding, SIMD splitter scans, batch fast
-//! path) need. This module adds that missing axis: RAII [`SpanGuard`]s
-//! with parent ids and typed [`SpanKind`]s, forming a proper tree
-//! (`Op` → `IndexDispatch` → `Split` → `CompoundProcess` →
-//! `KernelScan`, …) with close-time attached [`SpanCounters`].
+//! RAII [`SpanGuard`]s with parent ids and typed [`SpanKind`]s form a
+//! proper tree (`Op` → `IndexDispatch` → `Split` → `CompoundProcess` →
+//! `KernelScan`, …) with close-time attached [`SpanCounters`]. Every
+//! trace format is derived from the closed [`SpanRecord`]s: Chrome
+//! trace-event JSON, folded stacks, and the deterministic stable lines
+//! that conformance reproducers and the postmortem black box embed
+//! (see [`crate::obs::export`]).
 //!
 //! # Single-writer span stack
 //!
@@ -18,14 +19,13 @@
 //! finished [`SpanTree`] back. Thread locality is what lets the kernel's
 //! free functions ([`crate::kernel::process_compounds`] and friends) and
 //! the maintainers open spans without threading an `&mut ObsHub` through
-//! every signature — the hub stays the event/metrics sink, the span
-//! stack is ambient.
+//! every signature — the hub stays the metrics sink, the span stack is
+//! ambient.
 //!
-//! # Self-overhead contract (the `NullRecorder` fast path, extended)
+//! # Self-overhead contract
 //!
-//! Exactly like event emission gated on `ObsHub::is_active`, a span
-//! callsite with collection disabled must cost *one thread-local flag
-//! read and a branch* — no clock read, no allocation, no record
+//! A span callsite with collection disabled must cost *one thread-local
+//! flag read and a branch* — no clock read, no allocation, no record
 //! construction. [`SpanGuard::enter`] checks the flag first and returns
 //! an inert guard (`id == 0`) whose `Drop` and counter methods are
 //! no-ops. `benches/obs_overhead.rs` holds this to "within noise".
@@ -50,7 +50,66 @@
 use std::cell::{Cell, RefCell};
 use std::time::Instant;
 
-use super::event::IndexFamily;
+/// Compact handle to a registered index family (slot order of
+/// [`crate::obs::ObsHub::register_family`]). `NONE` marks spans and
+/// metric series that are not about any particular index.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub struct IndexFamily(pub u16);
+
+impl IndexFamily {
+    /// "No family": engine- and kernel-level spans.
+    pub const NONE: IndexFamily = IndexFamily(u16::MAX);
+}
+
+/// The kind of update operation flowing through the pipeline.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum OpKind {
+    /// A node addition.
+    AddNode,
+    /// An edge insertion.
+    InsertEdge,
+    /// An edge deletion.
+    DeleteEdge,
+    /// A node removal (decomposes into edge deletions).
+    RemoveNode,
+}
+
+impl OpKind {
+    /// Stable kebab-case label (the metrics `op` label).
+    pub fn as_str(self) -> &'static str {
+        match self {
+            OpKind::AddNode => "add-node",
+            OpKind::InsertEdge => "insert-edge",
+            OpKind::DeleteEdge => "delete-edge",
+            OpKind::RemoveNode => "remove-node",
+        }
+    }
+}
+
+/// One phase segment of [`crate::batch::apply_batch_traced`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum BatchSegment {
+    /// Phase 1: node additions.
+    AddNodes,
+    /// Phase 2: edge insertions.
+    InsertEdges,
+    /// Phase 3: explicit edge deletions.
+    DeleteEdges,
+    /// Phase 4: node removals (incl. implicit edge sweeps).
+    RemoveNodes,
+}
+
+impl BatchSegment {
+    /// Stable kebab-case label (the metrics `phase` label).
+    pub fn as_str(self) -> &'static str {
+        match self {
+            BatchSegment::AddNodes => "add-nodes",
+            BatchSegment::InsertEdges => "insert-edges",
+            BatchSegment::DeleteEdges => "delete-edges",
+            BatchSegment::RemoveNodes => "remove-nodes",
+        }
+    }
+}
 
 /// Typed span kinds, one per causal layer of the update pipeline.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]

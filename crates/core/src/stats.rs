@@ -8,9 +8,9 @@
 /// per-phase wall-clock time (`split_nanos`/`merge_nanos`), the peak
 /// Paige–Tarjan work-queue size (`queue_peak`), and — for A(k) — how
 /// many refinement-chain levels the update touched (`levels_touched`);
-/// the observability layer ([`crate::obs`]) turns these into
-/// `split-phase` / `merge-phase` / `rank-maintenance` events and metric
-/// series.
+/// with the span tree, these are the observability layer's only facts
+/// ([`crate::obs`]): the engine's edge fan-out files them as the
+/// split/merge/phase metric series.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct UpdateStats {
     /// Number of block splits performed (|Φ₁(G₂)| − |Φ₀(G₀)|).

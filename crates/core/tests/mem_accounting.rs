@@ -13,10 +13,10 @@
 //!    sharing ratio falls monotonically toward zero while the total
 //!    stays exact.
 //! 3. **Determinism** — two identically seeded runs publish
-//!    bit-identical mem reports (stable trace lines and deterministic
-//!    metrics JSON), so golden mem artifacts are diffable.
+//!    bit-identical mem reports (the reports themselves and the
+//!    deterministic metrics JSON), so golden mem artifacts are diffable.
 
-use xsi_core::obs::mem::HeapUse;
+use xsi_core::obs::mem::{HeapUse, MemReport};
 use xsi_core::{
     AkIndex, OneIndex, PropagateOneIndex, SimpleAkIndex, StructuralIndex, UpdateEngine,
 };
@@ -172,37 +172,38 @@ fn cow_sharing_counted_once_and_ratio_falls_as_writer_clones() {
     );
 }
 
-fn run_once(seed: u64) -> (Vec<String>, String) {
+fn run_once(seed: u64) -> (Vec<MemReport>, String) {
     let mut g = xmark(0.02, seed);
     let mut pool = EdgePool::extract(&mut g, 0.2, seed ^ 0x9e37);
     let mut engine = UpdateEngine::new(g);
-    engine
-        .obs_mut()
-        .set_recorder(Box::new(xsi_core::FlightRecorder::new(4096)));
     engine.obs_mut().enable_metrics();
-    engine.register(Box::new(OneIndex::build(engine.graph())));
-    engine.register(Box::new(SimpleAkIndex::build(engine.graph(), 2)));
+    let handles = [
+        engine.register(Box::new(OneIndex::build(engine.graph()))),
+        engine.register(Box::new(SimpleAkIndex::build(engine.graph(), 2))),
+    ];
     while let Some((u, v)) = pool.next_insert() {
         engine
             .insert_edge(u, v, xsi_graph::EdgeKind::IdRef)
             .unwrap();
     }
     engine.publish_mem_reports();
-    let trace: Vec<String> = engine
-        .obs()
-        .stable_trace()
-        .into_iter()
-        .filter(|l| l.contains("mem-report"))
+    let reports = handles
+        .iter()
+        .filter_map(|&h| engine.index(h).mem_report())
         .collect();
     let json = engine.obs().metrics_deterministic_json();
-    (trace, json)
+    (reports, json)
 }
 
 #[test]
 fn mem_reports_are_deterministic_across_identical_runs() {
-    let (trace_a, json_a) = run_once(1234);
-    let (trace_b, json_b) = run_once(1234);
-    assert!(!trace_a.is_empty(), "mem-report events were emitted");
-    assert_eq!(trace_a, trace_b, "stable mem-report lines are golden");
+    let (reports_a, json_a) = run_once(1234);
+    let (reports_b, json_b) = run_once(1234);
+    assert_eq!(reports_a.len(), 2, "both families report memory");
+    assert_eq!(reports_a, reports_b, "mem reports are golden");
+    assert!(
+        json_a.contains("\"mem_total_bytes\""),
+        "mem reports were filed"
+    );
     assert_eq!(json_a, json_b, "deterministic metrics JSON is golden");
 }

@@ -12,10 +12,10 @@
 //!   debt in non-test library code, frozen by the ratchet baseline
 //!   (`lint-baseline.json`) so existing call sites are tolerated but any
 //!   *new* one fails CI;
-//! * **`obs-coverage`** — every `pub fn` mutation entry point in the
-//!   engine and the two maintainers must feed the observability layer
-//!   (DESIGN.md §8), by touching the obs hub or the `UpdateStats`
-//!   phase counters;
+//! * **`span-coverage`** — every kernel driver, maintainer driver and
+//!   engine mutation/freeze entry point must open a causal span
+//!   (DESIGN.md §12), so the span tree — with `UpdateStats` one of the
+//!   two instrumentation facts (DESIGN.md §8) — has no holes;
 //! * **`forbid-unsafe` / `hot-assert` / `todo` / `bad-waiver`** —
 //!   hygiene: crate roots carry `#![forbid(unsafe_code)]`, hot paths use
 //!   `debug_assert!` rather than release-mode `assert!`, deferred-work

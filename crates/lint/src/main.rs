@@ -151,7 +151,7 @@ fn run() -> Result<ExitCode, String> {
             baseline_path.display()
         );
         // Still report non-ratcheted fatal findings so --update-baseline
-        // cannot paper over hash-iter/obs-coverage/hygiene violations.
+        // cannot paper over hash-iter/span-coverage/hygiene violations.
     }
 
     if opts.json {

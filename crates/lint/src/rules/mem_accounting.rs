@@ -30,7 +30,7 @@ use crate::lexer::{Tok, TokKind};
 use crate::source::SourceFile;
 use crate::Finding;
 
-use super::obs_coverage::fn_body_span;
+use super::span_coverage::fn_body_span;
 
 /// Container heads that own heap allocations a `heap_use()` must
 /// account for (or explicitly waive).

@@ -10,7 +10,6 @@ pub mod dense_side_table;
 pub mod hash_iter;
 pub mod hygiene;
 pub mod mem_accounting;
-pub mod obs_coverage;
 pub mod panic_reach;
 pub mod panics;
 pub mod span_coverage;
@@ -240,33 +239,6 @@ unshared by take_unique)`. Not baselineable: a CoW bypass is a \
 use-after-free-shaped correctness bug, never debt to freeze.",
     },
     RuleInfo {
-        name: "obs-coverage",
-        severity: Severity::Deny,
-        baselineable: false,
-        waivable: true,
-        summary: "pub mutation/freeze entry points in engine/maintainers must feed the obs layer",
-        explain: "\
-DESIGN.md §8's flight-recorder story is only as good as its coverage: \
-a mutation entry point that bypasses the observability layer produces \
-traces with silent holes, which is worse than no traces. This rule \
-checks every `pub fn` taking `&mut self` in `core/src/engine.rs`, \
-`core/src/oneindex/maintain.rs` and `core/src/akindex/maintain.rs`: \
-the function (signature or body) must reference the obs hub (`obs`, \
-`emit`, `observe_*`) or the `UpdateStats` phase counters \
-(`UpdateStats`, `stats`, `split_nanos`, `merge_nanos`, `queue_peak`, \
-`levels_touched`) that the hub exports. Snapshot entry points (`pub fn \
-freeze*`) are checked regardless of receiver: a read-only freeze that \
-skips the hub silently loses the `snapshot_*` metric series.
-
-Pure delegators (e.g. a convenience wrapper that forwards to an \
-instrumented sibling) should carry a waiver naming the instrumented \
-callee: `// xsi-lint: allow(obs-coverage, delegates to apply_batch)`. \
-Report publishers (`pub fn publish_*`) are checked regardless of \
-receiver, like freezes: publishing IS feeding the hub, so an \
-uninstrumented publisher is a silent no-op the caller cannot tell \
-from working telemetry.",
-    },
-    RuleInfo {
         name: "mem-accounting",
         severity: Severity::Deny,
         baselineable: false,
@@ -299,29 +271,31 @@ contract starts exact and stays exact.",
         severity: Severity::Deny,
         baselineable: false,
         waivable: true,
-        summary:
-            "kernel driver entry points and maintainer split/merge drivers must open a causal span",
+        summary: "kernel drivers, maintainer drivers and engine entry points must open a causal span",
         explain: "\
 The span layer (DESIGN.md §12) answers *which compound block inside a \
-kernel pass ate the time* — but only if every driver entry point opens \
-a `SpanGuard`. A pass that skips the guard shows up in Perfetto as \
-unattributed parent time and silently breaks the ≥90% CompoundProcess \
-accounting contract the perf lab gates on. Sibling of `obs-coverage`: \
-that rule keeps the flat event/metric plane hole-free, this one keeps \
-the hierarchical span tree hole-free.
+kernel pass ate the time* — but only if every entry point opens a \
+`SpanGuard`. A pass that skips the guard shows up in Perfetto as \
+unattributed parent time, silently breaks the ≥90% CompoundProcess \
+accounting contract the perf lab gates on, and leaves a hole in the \
+stable-line trace that conformance reproducers and the postmortem \
+black box embed. Spans and `UpdateStats` are the pipeline's only \
+instrumentation facts (DESIGN.md §8); metrics are derived from them.
 
 Checked entry points: in `core/src/kernel.rs`, every `pub fn` that \
 threads `UpdateStats` (the driver surface — `process_compounds`, \
 `refine_to_fixpoint`, `merge_fold`; `CompoundQueue` plumbing is \
-exempt); in `core/src/oneindex/maintain.rs` and \
-`core/src/akindex/maintain.rs`, every `pub fn` taking `&mut self`. The \
-function must reference the span vocabulary (`SpanGuard`, `enter`, \
-`enter_family`, `SpanKind`, or a `span` binder) in its signature or \
-body.
+exempt); in `core/src/oneindex/maintain.rs`, \
+`core/src/akindex/maintain.rs` and `core/src/engine.rs`, every `pub fn` \
+taking `&mut self`; in `core/src/engine.rs` also every `pub fn \
+freeze*` regardless of receiver. The function must reference the span \
+vocabulary (`SpanGuard`, `enter`, `enter_family`, `SpanKind`, or a \
+`span` binder) in its signature or body.
 
 Pure delegators (the maintainers' public entry points forward to \
-`apply_insert`/`apply_delete`/`update_levels`, which open the spans) \
-should carry a waiver naming the span-opening callee: \
+`apply_insert`/`apply_delete`/`update_levels`, the engine's edge ops to \
+the shared edge fan-out, which open the spans) should carry a waiver \
+naming the span-opening callee: \
 `// xsi-lint: allow(span-coverage, delegates to apply_insert)`.",
     },
     RuleInfo {
@@ -430,7 +404,6 @@ pub fn run_all(f: &SourceFile, out: &mut Vec<Finding>) {
     hash_iter::run(f, out);
     panics::run(f, out);
     mem_accounting::run(f, out);
-    obs_coverage::run(f, out);
     span_coverage::run(f, out);
     hygiene::run(f, out);
     // bad-waiver: malformed directives, plus waivers naming unknown rules.

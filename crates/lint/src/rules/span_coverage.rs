@@ -1,21 +1,21 @@
-//! `span-coverage`: the refinement kernel's driver entry points and the
-//! two maintainers' split/merge drivers must open a causal span
-//! (DESIGN.md §12). Sibling of `obs-coverage` — that rule guarantees the
-//! flat event/metric plane has no holes; this one guarantees the
-//! hierarchical span tree doesn't either: a kernel pass that never
-//! opens a `SpanGuard` shows up in a Perfetto trace as unattributed
-//! parent time, which defeats the ≥90% accounting contract.
+//! `span-coverage`: the refinement kernel's driver entry points, the
+//! two maintainers' split/merge drivers, and the engine's mutation and
+//! freeze entry points must open a causal span (DESIGN.md §12). The
+//! span tree is one of the pipeline's two instrumentation facts (with
+//! `UpdateStats`): an entry point that never opens a `SpanGuard` shows
+//! up in a Perfetto trace as unattributed parent time, which defeats
+//! the ≥90% accounting contract, and leaves a hole in the stable-line
+//! trace that reproducers and the black box embed.
 //! See the registry entry in [`super::RULES`].
 
-use crate::lexer::TokKind;
+use crate::lexer::{Tok, TokKind};
 use crate::source::SourceFile;
 use crate::Finding;
-
-use super::obs_coverage::{fn_body_span, takes_mut_self};
 
 /// Files the rule applies to (suffix match, so fixture mini-workspaces
 /// exercise the rule too).
 const KERNEL_SUFFIX: &str = "core/src/kernel.rs";
+const ENGINE_SUFFIX: &str = "core/src/engine.rs";
 const MAINTAINER_SUFFIXES: &[&str] = &[
     "core/src/oneindex/maintain.rs",
     "core/src/akindex/maintain.rs",
@@ -28,8 +28,9 @@ const SPAN_TOKENS: &[&str] = &["SpanGuard", "enter", "enter_family", "span", "Sp
 
 pub fn run(f: &SourceFile, out: &mut Vec<Finding>) {
     let is_kernel = f.rel_path.ends_with(KERNEL_SUFFIX);
+    let is_engine = f.rel_path.ends_with(ENGINE_SUFFIX);
     let is_maintainer = MAINTAINER_SUFFIXES.iter().any(|s| f.rel_path.ends_with(s));
-    if !is_kernel && !is_maintainer {
+    if !is_kernel && !is_engine && !is_maintainer {
         return;
     }
     let toks = &f.toks;
@@ -49,11 +50,14 @@ pub fn run(f: &SourceFile, out: &mut Vec<Finding>) {
                                                        // fns threading `UpdateStats` (process_compounds,
                                                        // refine_to_fixpoint, merge_fold); queue plumbing is
                                                        // exempt. Maintainers: every pub `&mut self` driver.
+                                                       // Engine: every pub `&mut self` entry point, plus any
+                                                       // `freeze*` whatever its receiver — a read-only
+                                                       // freeze still owes its Freeze span.
                     let is_entry = if is_kernel {
                         sig.iter()
                             .any(|t| t.kind == TokKind::Ident && t.text == "UpdateStats")
                     } else {
-                        takes_mut_self(sig)
+                        takes_mut_self(sig) || (is_engine && name.starts_with("freeze"))
                     };
                     if is_entry {
                         // xsi-lint: allow(slice-index, fn_body_span returns in-bounds body_close)
@@ -66,7 +70,7 @@ pub fn run(f: &SourceFile, out: &mut Vec<Finding>) {
                                 "span-coverage",
                                 line,
                                 format!(
-                                    "driver entry point `pub fn {name}(…)` never opens a causal \
+                                    "entry point `pub fn {name}(…)` never opens a causal \
                                      span (no SpanGuard::enter/enter_family); instrument it or \
                                      waive naming the span-opening delegate"
                                 ),
@@ -80,6 +84,51 @@ pub fn run(f: &SourceFile, out: &mut Vec<Finding>) {
         }
         i += 1;
     }
+}
+
+/// From the token index of a fn's name, find its body `{`/`}` token
+/// span. Returns `None` for body-less fns (trait decls).
+pub(crate) fn fn_body_span(toks: &[Tok], name_idx: usize) -> Option<(usize, usize)> {
+    let mut paren = 0i32;
+    for (j, t) in toks.iter().enumerate().skip(name_idx + 1) {
+        if t.is_punct('(') {
+            paren += 1;
+        } else if t.is_punct(')') {
+            paren -= 1;
+        } else if paren == 0 && t.is_punct(';') {
+            return None;
+        } else if paren == 0 && t.is_punct('{') {
+            let mut depth = 0usize;
+            for (k, t) in toks.iter().enumerate().skip(j) {
+                if t.is_punct('{') {
+                    depth += 1;
+                } else if t.is_punct('}') {
+                    depth -= 1;
+                    if depth == 0 {
+                        return Some((j, k));
+                    }
+                }
+            }
+            // Unbalanced: the body runs to the end of the file.
+            return Some((j, toks.len() - 1));
+        }
+    }
+    None
+}
+
+/// Does the signature contain `&mut self` (possibly `&'a mut self`)?
+pub(crate) fn takes_mut_self(sig: &[Tok]) -> bool {
+    sig.iter().enumerate().any(|(w, t)| {
+        if !t.is_punct('&') {
+            return false;
+        }
+        let mut rest = sig.iter().skip(w + 1).peekable();
+        if rest.peek().is_some_and(|t| t.kind == TokKind::Lifetime) {
+            rest.next();
+        }
+        rest.next().is_some_and(|t| t.is_ident("mut"))
+            && rest.next().is_some_and(|t| t.is_ident("self"))
+    })
 }
 
 #[cfg(test)]
@@ -140,8 +189,85 @@ mod tests {
     }
 
     #[test]
-    fn non_target_files_ignored() {
-        let src = "impl E { pub fn mutate(&mut self, stats: &mut UpdateStats) { poke(); } }";
+    fn engine_entry_point_without_span_flagged() {
+        let src = "impl E { pub fn mutate(&mut self, n: u32) -> UpdateStats { self.g.poke(n) } }";
+        let hits = lint_at("crates/core/src/engine.rs", src);
+        assert_eq!(hits.len(), 1);
+        assert!(hits[0].message.contains("mutate"));
+    }
+
+    #[test]
+    fn engine_freeze_flagged_even_on_shared_receiver() {
+        let src = "impl E { pub fn freeze(&self) -> Vec<Snap> { self.entries.iter().map(snap).collect() } }";
+        let hits = lint_at("crates/core/src/engine.rs", src);
+        assert_eq!(hits.len(), 1);
+        assert!(hits[0].message.contains("freeze"));
+    }
+
+    #[test]
+    fn engine_freeze_with_span_is_clean() {
+        let src = "impl E { pub fn freeze(&self) -> Vec<Snap> { \
+                   let sp = SpanGuard::enter_family(SpanKind::Freeze, f); let s = snap(); drop(sp); s } }";
         assert!(lint_at("crates/core/src/engine.rs", src).is_empty());
+    }
+
+    #[test]
+    fn shared_receiver_freeze_outside_the_engine_ignored() {
+        let src = "impl M { pub fn freeze(&self) -> Snap { snap(self) } }";
+        assert!(lint_at("crates/core/src/oneindex/maintain.rs", src).is_empty());
+    }
+
+    #[test]
+    fn engine_shared_receiver_accessors_ignored() {
+        let src = "impl E { pub fn graph(&self) -> &Graph { &self.g } \
+                   pub fn publish_count(&self) -> usize { self.n } }";
+        assert!(lint_at("crates/core/src/engine.rs", src).is_empty());
+    }
+
+    #[test]
+    fn engine_entry_point_with_enter_is_clean() {
+        let src = "impl E { pub fn mutate(&mut self, n: u32) -> UpdateStats { \
+                   let sp = SpanGuard::enter(SpanKind::Op); let s = self.g.poke(n); drop(sp); s } }";
+        assert!(lint_at("crates/core/src/engine.rs", src).is_empty());
+    }
+
+    #[test]
+    fn engine_private_and_crate_fns_ignored() {
+        let src = "impl E { fn helper(&mut self) { poke(); } \
+                   pub(crate) fn h2(&mut self) { poke(); } \
+                   pub(super) fn h3(&mut self) { poke(); } }";
+        assert!(lint_at("crates/core/src/engine.rs", src).is_empty());
+    }
+
+    #[test]
+    fn engine_named_files_outside_core_ignored() {
+        let src = "impl E { pub fn mutate(&mut self, n: u32) { poke(n); } \
+                   pub fn freeze(&self) -> Snap { snap(self) } }";
+        assert!(lint_at("crates/bench/src/engine.rs", src).is_empty());
+        assert!(lint_at("crates/core/src/engine_util.rs", src).is_empty());
+    }
+
+    #[test]
+    fn non_target_files_ignored() {
+        let src = "impl G { pub fn mutate(&mut self, stats: &mut UpdateStats) { poke(); } }";
+        assert!(lint_at("crates/graph/src/graph.rs", src).is_empty());
+    }
+
+    #[test]
+    fn body_span_and_receiver_helpers() {
+        let f = SourceFile::parse(
+            "x.rs".into(),
+            PathBuf::from("/x/x.rs"),
+            "fn a(&'a mut self) { if x { y } } fn b(&self);",
+        );
+        let toks = &f.toks;
+        let name_a = toks.iter().position(|t| t.is_ident("a")).unwrap();
+        let (open, close) = fn_body_span(toks, name_a).unwrap();
+        assert!(toks[open].is_punct('{') && toks[close].is_punct('}'));
+        assert!(toks[close + 1].is_ident("fn"));
+        assert!(takes_mut_self(&toks[name_a + 1..open]));
+        let name_b = toks.iter().position(|t| t.is_ident("b")).unwrap();
+        assert_eq!(fn_body_span(toks, name_b), None);
+        assert!(!takes_mut_self(&toks[name_b + 1..]));
     }
 }

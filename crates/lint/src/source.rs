@@ -339,15 +339,15 @@ mod tests {
         // own-line waiver must reach the code line below the block.
         let f = file(
             "// xsi-lint: allow(span-coverage, delegate opens the span)\n\
-             // xsi-lint: allow(obs-coverage, caller times it)\n\
+             // xsi-lint: allow(hot-assert, caller checks it)\n\
              /// Registers a node.\n\
              pub fn on_node_added() {}\n\
              fn next() {}\n",
         );
         assert!(f.waived("span-coverage", 4));
-        assert!(f.waived("obs-coverage", 4));
+        assert!(f.waived("hot-assert", 4));
         assert!(!f.waived("span-coverage", 5));
-        assert!(!f.waived("obs-coverage", 5));
+        assert!(!f.waived("hot-assert", 5));
     }
 
     #[test]

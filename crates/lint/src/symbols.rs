@@ -392,7 +392,7 @@ fn parse_fn(
     };
 
     // Find the body span (or a `;` for trait declarations).
-    let body = crate::rules::obs_coverage::fn_body_span(toks, name_tok);
+    let body = crate::rules::span_coverage::fn_body_span(toks, name_tok);
     let sites = body
         .map(|(open, close)| collect_panic_sites(src, &toks[open..=close]))
         .unwrap_or_default();

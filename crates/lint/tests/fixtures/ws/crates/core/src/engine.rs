@@ -1,63 +1,54 @@
-//! Fixture engine: obs-coverage and hot-assert expectations. The file's
-//! path suffix (`core/src/engine.rs`) puts it on both rules' target
-//! lists.
+//! Fixture engine: span-coverage and hot-assert expectations. The
+//! file's path suffix (`core/src/engine.rs`) puts it on both rules'
+//! target lists.
 
 pub struct Engine {
     pub stats_total: u64,
 }
 
 impl Engine {
+    /// Positive: a mutation entry point that never opens a span.
     pub fn uninstrumented(&mut self, n: u64) -> u64 {
         n + 1
     }
 
     pub fn instrumented(&mut self, n: u64) -> u64 {
-        let stats = n; // UpdateStats bookkeeping stand-in
-        self.stats_total += stats;
-        stats
+        let op = SpanGuard::enter(SpanKind::Op);
+        self.stats_total += n;
+        drop(op);
+        n
     }
 
-    // xsi-lint: allow(obs-coverage, thin shim; instrumented() books the stats)
+    // xsi-lint: allow(span-coverage, thin shim; instrumented() opens the Op span)
     pub fn waived_shim(&mut self, n: u64) -> u64 {
         self.instrumented(n)
     }
 
     pub fn hot_assert_positive(&mut self, n: u64) {
         assert!(n > 0, "n must be positive");
-        let stats = n;
-        self.stats_total += stats;
+        let _op = SpanGuard::enter(SpanKind::Op);
+        self.stats_total += n;
     }
 
     pub fn hot_assert_clean(&mut self, n: u64) {
         debug_assert!(n > 0, "n must be positive");
-        let stats = n;
-        self.stats_total += stats;
+        let _op = SpanGuard::enter(SpanKind::Op);
+        self.stats_total += n;
     }
 
     // Freeze entry points are checked regardless of receiver: this
-    // `&self` freeze skips the hub, so obs-coverage must flag it.
+    // `&self` freeze opens no Freeze span, so span-coverage flags it.
     pub fn freeze_uninstrumented(&self) -> u64 {
         self.stats_total
     }
 
     pub fn freeze_instrumented(&self) -> u64 {
-        let stats = self.stats_total; // UpdateStats bookkeeping stand-in
-        stats
-    }
-
-    // Report publishers are receiver-agnostic too: a `&self` publisher
-    // that never feeds the hub is a silent no-op.
-    pub fn publish_uninstrumented(&self) -> u64 {
+        let _sp = SpanGuard::enter(SpanKind::Freeze);
         self.stats_total
     }
 
-    // xsi-lint: allow(obs-coverage, thin shim; publish_instrumented feeds the hub)
-    pub fn publish_shim(&self) -> u64 {
-        self.publish_instrumented()
-    }
-
-    pub fn publish_instrumented(&self) -> u64 {
-        let stats = self.stats_total; // UpdateStats bookkeeping stand-in
-        stats
+    /// Read-only accessors are not entry points.
+    pub fn total(&self) -> u64 {
+        self.stats_total
     }
 }
