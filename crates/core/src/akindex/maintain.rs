@@ -456,9 +456,7 @@ impl AkIndex {
             self.blocks[b].weight += 1;
             parent = b;
         }
-        self.node_block[n.index()] = parent;
-        self.node_pos[n.index()] = self.extent(parent).len() as u32;
-        self.extent_mut(parent).push(n);
+        self.extents.attach(n, parent);
     }
 
     /// Unregisters a node about to be removed (must be edge-free; call
@@ -468,15 +466,7 @@ impl AkIndex {
         debug_assert_eq!(g.in_degree(n) + g.out_degree(n), 0);
         let chain = self.chain_of(n);
         let k = self.k();
-        // Extent removal at level k.
-        let pos = self.node_pos[n.index()] as usize;
-        let extent = self.extent_mut(chain[k]);
-        extent.swap_remove(pos);
-        let moved = extent.get(pos).copied();
-        if let Some(moved) = moved {
-            self.node_pos[moved.index()] = pos as u32;
-        }
-        self.node_block[n.index()] = ABlockId::INVALID;
+        self.extents.detach(n);
         for l in (0..=k).rev() {
             self.blocks[chain[l]].weight -= 1;
             if self.blocks[chain[l]].weight == 0 {

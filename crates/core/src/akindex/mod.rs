@@ -18,7 +18,8 @@
 //! Storage lives on the dense data plane of [`crate::store`] (DESIGN.md
 //! §10): blocks sit in a generation-checked [`SlotMap`] (stale
 //! [`ABlockId`]s held across a release are caught by `debug_assert`),
-//! every count map is an adaptive [`IedgeMap`] whose iteration is sorted
+//! level-k extents in an [`Extents`] (interior slots keep empty
+//! placeholder runs), every count map is an adaptive [`IedgeMap`] whose iteration is sorted
 //! in both representations, and tree children are a `BTreeSet` — so no
 //! iteration order anywhere in this module depends on hash state.
 //!
@@ -37,7 +38,7 @@ pub use storage::StorageReport;
 
 use crate::obs::mem::{btree_set_heap, vec_cap_heap, HeapUse, MemReport};
 use crate::obs::span::{SpanGuard, SpanKind};
-use crate::store::{CowVec, IedgeMap, ScratchTable, SlotKey, SlotMap, StoreReport};
+use crate::store::{Extents, IedgeMap, ScratchTable, SlotKey, SlotMap, StoreReport};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::sync::Arc;
@@ -111,10 +112,6 @@ struct ABlock {
     /// Refinement-tree children (level+1); empty at level k. Sorted, so
     /// tree traversals are deterministic without per-visit sorting.
     tree_children: BTreeSet<ABlockId>,
-    /// Extent; populated only at level k. `Arc`-shared with frozen
-    /// snapshots (`core::view`): writes go through `CowVec::make_mut`
-    /// and clone only when a snapshot holds the run.
-    extent: CowVec<NodeId>,
     /// `E_{level−1}` reversed: dedge counts from level−1 blocks into self.
     pred_cross: IedgeMap<ABlockId>,
     /// `E_level`: dedge counts from self into level+1 blocks (level < k).
@@ -132,7 +129,6 @@ impl Default for ABlock {
             weight: 0,
             tree_parent: ABlockId::INVALID,
             tree_children: BTreeSet::new(),
-            extent: CowVec::new(),
             pred_cross: IedgeMap::new(),
             succ_cross: IedgeMap::new(),
             succ_intra: IedgeMap::new(),
@@ -142,15 +138,26 @@ impl Default for ABlock {
 }
 
 impl HeapUse for ABlock {
-    /// The block's heap payload: extent run, all four iedge maps, and
-    /// the refinement-tree child set. The struct itself is slab-resident.
+    /// The block's heap payload: all four iedge maps and the
+    /// refinement-tree child set (its extent run is charged to
+    /// [`Extents`]). The struct itself is slab-resident.
     fn heap_use(&self) -> usize {
-        self.extent.heap_bytes()
-            + self.pred_cross.heap_use()
-            + self.succ_cross.heap_use()
-            + self.pred_intra.heap_use()
-            + self.succ_intra.heap_use()
-            + btree_set_heap::<ABlockId>(self.tree_children.len())
+        let Self {
+            level: _,
+            label: _,
+            weight: _,
+            tree_parent: _,
+            tree_children,
+            pred_cross,
+            succ_cross,
+            succ_intra,
+            pred_intra,
+        } = self;
+        pred_cross.heap_use()
+            + succ_cross.heap_use()
+            + pred_intra.heap_use()
+            + succ_intra.heap_use()
+            + btree_set_heap::<ABlockId>(tree_children.len())
     }
 }
 
@@ -165,9 +172,9 @@ pub struct AkIndex {
     blocks: SlotMap<ABlockId, ABlock>,
     /// Live block count per level (index = level).
     level_counts: Vec<usize>,
-    /// dnode → level-k block.
-    node_block: Vec<ABlockId>,
-    node_pos: Vec<u32>,
+    /// Level-k extent membership: dnode → level-k block and position,
+    /// and the `Arc`-shared runs frozen snapshots read.
+    extents: Extents<ABlockId>,
     /// Scratch marks for dedup scans.
     mark: Vec<u32>,
     epoch: u32,
@@ -176,9 +183,6 @@ pub struct AkIndex {
     split_counts: ScratchTable<u32>,
     split_full: ScratchTable<bool>,
     split_partner: ScratchTable<ABlockId>,
-    /// Cumulative count of extent runs cloned because a frozen snapshot
-    /// still shared them (exported as `snapshot_cow_clones`).
-    cow_clones: u64,
 }
 
 impl AkIndex {
@@ -229,14 +233,12 @@ impl AkIndex {
             k,
             blocks: SlotMap::new(),
             level_counts: vec![0; k + 1],
-            node_block: vec![ABlockId::INVALID; g.capacity()],
-            node_pos: vec![0; g.capacity()],
+            extents: Extents::new(g.capacity()),
             mark: vec![0; g.capacity()],
             epoch: 0,
             split_counts: ScratchTable::new(),
             split_full: ScratchTable::new(),
             split_partner: ScratchTable::new(),
-            cow_clones: 0,
         };
         // Create blocks per (level, class) and link the tree.
         let mut block_of_class: Vec<HashMap<u32, ABlockId>> = vec![HashMap::new(); k + 1];
@@ -257,9 +259,7 @@ impl AkIndex {
                 };
                 idx.blocks[b].weight += 1;
                 if level == k {
-                    idx.node_block[n.index()] = b;
-                    idx.node_pos[n.index()] = idx.blocks[b].extent.len() as u32;
-                    idx.blocks[b].extent.make_mut(&mut idx.cow_clones).push(n);
+                    idx.extents.attach(n, b);
                 }
                 parent = b;
             }
@@ -295,9 +295,7 @@ impl AkIndex {
 
     /// The level-k inode containing `n`.
     pub fn block_of(&self, n: NodeId) -> ABlockId {
-        let b = self.node_block[n.index()];
-        debug_assert!(b != ABlockId::INVALID, "node {n:?} not indexed");
-        b
+        self.extents.block_of(n)
     }
 
     /// The level-`level` inode containing `n` (walks the refinement tree).
@@ -312,15 +310,7 @@ impl AkIndex {
     /// The extent of a level-k inode.
     pub fn extent(&self, b: ABlockId) -> &[NodeId] {
         debug_assert_eq!(self.blocks[b].level as usize, self.k);
-        &self.blocks[b].extent
-    }
-
-    /// Mutable extent access for the maintainer modules, routed through
-    /// the copy-on-write gate: a run still shared with a frozen
-    /// snapshot is cloned before the `&mut` is handed out.
-    fn extent_mut(&mut self, b: ABlockId) -> &mut Vec<NodeId> {
-        debug_assert_eq!(self.blocks[b].level as usize, self.k);
-        self.blocks[b].extent.make_mut(&mut self.cow_clones)
+        self.extents.extent(b)
     }
 
     /// Shares a level-k inode's extent run with a frozen snapshot:
@@ -328,13 +318,13 @@ impl AkIndex {
     /// clones the run (counted in [`AkIndex::cow_clone_count`]).
     pub fn share_extent(&self, b: ABlockId) -> Arc<Vec<NodeId>> {
         debug_assert_eq!(self.blocks[b].level as usize, self.k); // xsi-lint: allow(slice-index, caller passes a live level-k handle)
-        self.blocks[b].extent.share() // xsi-lint: allow(slice-index, caller passes a live level-k handle)
+        self.extents.share(b)
     }
 
     /// Cumulative count of extent runs cloned because a frozen snapshot
     /// still shared them.
     pub fn cow_clone_count(&self) -> u64 {
-        self.cow_clones
+        self.extents.cow_clones()
     }
 
     /// Label of a block.
@@ -471,14 +461,24 @@ impl AkIndex {
     /// Deep heap bytes owned by the refinement tree (capacity-based);
     /// the decomposed view is [`AkIndex::mem_report`].
     pub fn heap_use(&self) -> usize {
-        self.blocks.heap_use()
-            + vec_cap_heap(&self.level_counts)
-            + vec_cap_heap(&self.node_block)
-            + vec_cap_heap(&self.node_pos)
-            + vec_cap_heap(&self.mark)
-            + self.split_counts.heap_use()
-            + self.split_full.heap_use()
-            + self.split_partner.heap_use()
+        let Self {
+            k: _,
+            blocks,
+            level_counts,
+            extents,
+            mark,
+            epoch: _,
+            split_counts,
+            split_full,
+            split_partner,
+        } = self;
+        blocks.heap_use()
+            + vec_cap_heap(level_counts)
+            + extents.heap_use()
+            + vec_cap_heap(mark)
+            + split_counts.heap_use()
+            + split_full.heap_use()
+            + split_partner.heap_use()
     }
 
     /// A point-in-time deep-memory attribution of the whole tree, per
@@ -491,15 +491,6 @@ impl AkIndex {
         let mut live_payload = 0usize;
         for (_, blk) in self.blocks.iter() {
             r.blocks += 1;
-            if blk.level as usize == self.k {
-                r.record_extent(
-                    blk.extent.len(),
-                    blk.extent.heap_bytes(),
-                    blk.extent.is_shared(),
-                );
-            } else {
-                r.add_extent_bytes(blk.extent.heap_bytes(), blk.extent.is_shared());
-            }
             for m in [
                 &blk.pred_cross,
                 &blk.succ_cross,
@@ -517,13 +508,16 @@ impl AkIndex {
         let all_payload: usize = self.blocks.iter_all_slots().map(ABlock::heap_use).sum();
         r.dead_retained_bytes = (all_payload - live_payload) as u64;
         r.slab_bytes = self.blocks.shell_bytes() as u64;
-        r.side_table_bytes += (vec_cap_heap(&self.level_counts)
-            + vec_cap_heap(&self.node_block)
-            + vec_cap_heap(&self.node_pos)
-            + vec_cap_heap(&self.mark)) as u64;
+        r.side_table_bytes += (vec_cap_heap(&self.level_counts) + vec_cap_heap(&self.mark)) as u64;
         r.scratch_bytes = (self.split_counts.heap_use()
             + self.split_full.heap_use()
             + self.split_partner.heap_use()) as u64;
+        self.extents.record_mem(
+            &mut r,
+            self.blocks
+                .iter()
+                .map(|(b, blk)| (b, blk.level as usize == self.k)),
+        );
         r
     }
 
@@ -538,13 +532,14 @@ impl AkIndex {
         blk.label = label;
         blk.weight = 0;
         blk.tree_parent = ABlockId::INVALID;
-        debug_assert!(blk.tree_children.is_empty() && blk.extent.is_empty());
+        debug_assert!(blk.tree_children.is_empty());
         // Recycled maps are empty but may sit in the spilled
         // representation; clearing resets them to inline.
         blk.pred_cross.clear();
         blk.succ_cross.clear();
         blk.pred_intra.clear();
         blk.succ_intra.clear();
+        self.extents.open(id);
         id
     }
 
@@ -553,7 +548,7 @@ impl AkIndex {
         // the release-debug-asserts CI job still exercises them compiled in.
         let blk = &self.blocks[b];
         debug_assert_eq!(blk.weight, 0, "releasing non-empty block {b:?}");
-        debug_assert!(blk.extent.is_empty());
+        debug_assert_eq!(self.extents.len(b), 0);
         debug_assert!(blk.tree_children.is_empty());
         debug_assert!(blk.pred_cross.is_empty() && blk.succ_cross.is_empty());
         debug_assert!(blk.pred_intra.is_empty() && blk.succ_intra.is_empty());
@@ -651,22 +646,9 @@ impl AkIndex {
                 self.blocks[new_chain[l]].weight += 1;
             }
         }
-        // Extent at level k.
-        if old_chain[self.k] != new_chain[self.k] {
-            let pos = self.node_pos[n.index()] as usize;
-            let extent = self.blocks[old_chain[self.k]]
-                .extent
-                .make_mut(&mut self.cow_clones);
-            debug_assert_eq!(extent[pos], n);
-            extent.swap_remove(pos);
-            if let Some(&moved) = extent.get(pos) {
-                self.node_pos[moved.index()] = pos as u32;
-            }
-            let blk = &mut self.blocks[new_chain[self.k]];
-            self.node_block[n.index()] = new_chain[self.k];
-            self.node_pos[n.index()] = blk.extent.len() as u32;
-            blk.extent.make_mut(&mut self.cow_clones).push(n);
-        }
+        // Extent at level k (a no-op when the level-k block is kept).
+        debug_assert!(self.blocks.is_current(new_chain[self.k]));
+        self.extents.move_to(n, new_chain[self.k]);
         // Edge counts: n as target (its parents' cross edges), n as source.
         for p in g.pred(n) {
             let cp = self.chain_of(p);
@@ -699,7 +681,7 @@ impl AkIndex {
     /// Merges block `src` into `dst` (same level, same tree parent):
     /// extents/children are transferred and all edge-count maps re-keyed.
     pub(crate) fn merge_blocks(&mut self, dst: ABlockId, src: ABlockId) {
-        assert_ne!(dst, src);
+        assert_ne!(dst, src, "merging a block with itself");
         let level = self.blocks[src].level;
         debug_assert_eq!(self.blocks[dst].level, level);
         debug_assert_eq!(self.blocks[dst].label, self.blocks[src].label);
@@ -707,23 +689,7 @@ impl AkIndex {
 
         // Extent or tree children.
         if level == k {
-            // xsi-lint: allow(cow-discipline, take swaps in a fresh empty run; the taken handle still shares with any snapshot reading it)
-            let src_extent = std::mem::take(&mut self.blocks[src].extent);
-            for &n in src_extent.iter() {
-                let blk = &mut self.blocks[dst];
-                self.node_block[n.index()] = dst;
-                self.node_pos[n.index()] = blk.extent.len() as u32;
-                blk.extent.make_mut(&mut self.cow_clones).push(n);
-            }
-            // Hand the drained allocation back to the recycled slot so
-            // the next block minted there starts with capacity — unless
-            // a frozen snapshot still shares the run, in which case the
-            // snapshot keeps the nodes and the slot starts fresh.
-            if let Some(mut e) = src_extent.take_unique() {
-                e.clear();
-                // xsi-lint: allow(cow-discipline, take_unique proved the run unshared; no snapshot can observe the swap)
-                self.blocks[src].extent = e.into();
-            }
+            self.extents.merge(dst, src);
         } else {
             let kids = std::mem::take(&mut self.blocks[src].tree_children);
             for child in kids {
@@ -805,8 +771,7 @@ impl AkIndex {
         let mut stack: Vec<ABlockId> = roots.to_vec();
         while let Some(b) = stack.pop() {
             if self.blocks[b].level as usize == self.k {
-                for i in 0..self.blocks[b].extent.len() {
-                    let u = self.blocks[b].extent[i];
+                for &u in self.extents.extent(b) {
                     for v in g.succ(u) {
                         if self.mark[v.index()] != epoch {
                             self.mark[v.index()] = epoch;
@@ -859,7 +824,7 @@ impl AkIndex {
         let mut stack = vec![b];
         while let Some(x) = stack.pop() {
             if self.blocks[x].level as usize == self.k {
-                out.extend_from_slice(&self.blocks[x].extent);
+                out.extend_from_slice(self.extents.extent(x));
             } else {
                 // Sorted child order keeps the materialized extent
                 // reproducible across runs (it escapes to callers).
@@ -872,26 +837,24 @@ impl AkIndex {
     /// Grows per-node side tables after graph node additions.
     pub fn ensure_capacity(&mut self, g: &Graph) {
         let cap = g.capacity();
-        if cap > self.node_block.len() {
-            self.node_block.resize(cap, ABlockId::INVALID);
-            self.node_pos.resize(cap, 0);
+        self.extents.ensure_capacity(cap);
+        if cap > self.mark.len() {
             self.mark.resize(cap, 0);
         }
     }
 
     /// Exhaustive structural verification for tests: tree shape, weights,
-    /// extents, handle currency, and every count map against a recount.
-    /// O((n + m)·k).
+    /// extents (against the node→block map in both directions), handle
+    /// currency, and every count map against a recount. O((n + m)·k).
     pub fn check_consistency(&self, g: &Graph) -> Result<(), String> {
-        // Extents partition live nodes at level k.
+        // Extents partition live nodes at level k; interior runs stay
+        // empty.
+        self.extents.check_consistency(self.blocks_at(self.k))?;
         let mut seen = 0usize;
         for b in self.blocks_at(self.k) {
-            for (pos, &n) in self.blocks[b].extent.iter().enumerate() {
-                if self.node_block[n.index()] != b {
-                    return Err(format!("node {n:?} extent/map mismatch"));
-                }
-                if self.node_pos[n.index()] as usize != pos {
-                    return Err(format!("node {n:?} position mismatch"));
+            for &n in self.extents.extent(b) {
+                if !g.is_alive(n) {
+                    return Err(format!("extent of {b:?} holds removed node {n:?}"));
                 }
                 if g.label(n) != self.blocks[b].label {
                     return Err(format!("label mismatch in {b:?}"));
@@ -908,7 +871,7 @@ impl AkIndex {
         for (b, blk) in self.blocks.iter() {
             level_counts[blk.level as usize] += 1;
             if blk.level as usize == self.k {
-                if blk.weight as usize != blk.extent.len() {
+                if blk.weight as usize != self.extents.len(b) {
                     return Err(format!("leaf weight mismatch at {b:?}"));
                 }
                 if !blk.tree_children.is_empty() {

@@ -311,9 +311,16 @@ impl SimpleAkIndex {
     /// is transient and deliberately uncounted (DESIGN.md §13).
     pub fn heap_use(&self) -> usize {
         use crate::obs::mem::{hash_map_heap, vec_cap_heap};
-        vec_cap_heap(&self.node_block)
-            + hash_map_heap::<u32, Vec<NodeId>>(self.members.capacity())
-            + self.members.values().map(vec_cap_heap).sum::<usize>()
+        let Self {
+            k: _,
+            node_block,
+            members,
+            next_block: _,
+            memoize: _,
+        } = self;
+        vec_cap_heap(node_block)
+            + hash_map_heap::<u32, Vec<NodeId>>(members.capacity())
+            + members.values().map(vec_cap_heap).sum::<usize>()
     }
 
     /// Deep-memory attribution for the baseline: every extent is a plain

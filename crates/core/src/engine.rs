@@ -519,9 +519,14 @@ impl HeapUse for UpdateEngine {
     /// bytes (via its mem report). The graph, per-index stats and the
     /// obs hub itself are deliberately uncounted — see DESIGN.md §13.
     fn heap_use(&self) -> usize {
-        mem::vec_cap_heap(&self.entries)
-            + self
-                .entries
+        let Self {
+            g: _,
+            entries,
+            stats: _,
+            obs: _,
+        } = self;
+        mem::vec_cap_heap(entries)
+            + entries
                 .iter()
                 .filter_map(|e| e.index.mem_report())
                 .map(|r| r.total_bytes() as usize)

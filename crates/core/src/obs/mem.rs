@@ -36,9 +36,65 @@ use std::mem::size_of;
 
 /// Deep heap bytes reserved by a structure, capacity-based. See the
 /// module docs for the accounting contract.
+///
+/// Every impl on a struct of this workspace starts by destructuring
+/// `self` exhaustively, with no `..` rest; a deliberately uncounted
+/// field is bound to `_`:
+///
+/// ```
+/// use xsi_core::obs::mem::{vec_cap_heap, HeapUse};
+/// struct Table {
+///     rows: Vec<u32>,
+///     epoch: u32,
+/// }
+/// impl HeapUse for Table {
+///     fn heap_use(&self) -> usize {
+///         let Self { rows, epoch: _ } = self;
+///         vec_cap_heap(rows)
+///     }
+/// }
+/// ```
+///
+/// So a field added later fails to compile (E0027) until the impl
+/// names it (and see [`HeapUse::heap_use`] for a field named but not
+/// counted):
+///
+/// ```compile_fail,E0027
+/// use xsi_core::obs::mem::{vec_cap_heap, HeapUse};
+/// struct Table {
+///     rows: Vec<u32>,
+///     epoch: u32,
+///     spill: Vec<u32>,
+/// }
+/// impl HeapUse for Table {
+///     fn heap_use(&self) -> usize {
+///         let Self { rows, epoch: _ } = self;
+///         vec_cap_heap(rows)
+///     }
+/// }
+/// ```
 pub trait HeapUse {
     /// Total heap bytes reachable from (and owned by) `self`, excluding
     /// `size_of::<Self>()` itself.
+    ///
+    /// A field the exhaustive destructuring names but the sum never
+    /// uses is an unused variable, which the workspace's
+    /// `clippy -D warnings` gate rejects:
+    ///
+    /// ```compile_fail
+    /// #![deny(unused_variables)]
+    /// use xsi_core::obs::mem::{vec_cap_heap, HeapUse};
+    /// struct Table {
+    ///     rows: Vec<u32>,
+    ///     spill: Vec<u32>,
+    /// }
+    /// impl HeapUse for Table {
+    ///     fn heap_use(&self) -> usize {
+    ///         let Self { rows, spill } = self;
+    ///         vec_cap_heap(rows)
+    ///     }
+    /// }
+    /// ```
     fn heap_use(&self) -> usize;
 }
 

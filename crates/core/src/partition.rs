@@ -5,9 +5,10 @@
 //! partition of the dnodes" (Section 3 of the paper), so this module owns
 //! the mechanics shared by construction and maintenance:
 //!
-//! * **extents** — each block stores its dnodes in a `Vec`, with a global
-//!   position table enabling O(1) swap-remove moves (the inner loop of
-//!   Paige–Tarjan refinement and of the incremental split phase);
+//! * **extents** — each block's dnodes live in an [`Extents`] run,
+//!   with a global position table enabling O(1) swap-remove moves (the
+//!   inner loop of Paige–Tarjan refinement and of the incremental split
+//!   phase);
 //! * **iedge multiplicity maps** — each block counts, per neighbor block,
 //!   the number of dedges between the extents, in an adaptive
 //!   [`IedgeMap`] (inline sorted array for the common low-degree case,
@@ -28,7 +29,7 @@
 //! aliasing the block that reused the slot.
 
 use crate::obs::mem::{btree_set_heap, vec_cap_heap, HeapUse, MemReport};
-use crate::store::{CowVec, IedgeMap, ScratchTable, SlotKey, SlotMap, StoreReport};
+use crate::store::{Extents, IedgeMap, ScratchTable, SlotKey, SlotMap, StoreReport};
 use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
@@ -91,10 +92,6 @@ impl fmt::Debug for BlockId {
 #[derive(Clone, Debug)]
 struct Block {
     label: Label,
-    /// The extent run, `Arc`-shared with frozen snapshots
-    /// (`core::view`): reads deref to a slice, writes go through
-    /// `CowVec::make_mut` and clone only when a snapshot holds the run.
-    extent: CowVec<NodeId>,
     /// `parents[P]` = number of dedges (u, v) with `u ∈ P`, `v ∈ self`.
     parents: IedgeMap<BlockId>,
     /// `children[C]` = number of dedges (u, v) with `u ∈ self`, `v ∈ C`.
@@ -105,7 +102,6 @@ impl Default for Block {
     fn default() -> Self {
         Block {
             label: Label::from_index(0),
-            extent: CowVec::new(),
             parents: IedgeMap::new(),
             children: IedgeMap::new(),
         }
@@ -113,11 +109,16 @@ impl Default for Block {
 }
 
 impl HeapUse for Block {
-    /// The block's heap payload: the extent run plus both iedge maps.
-    /// The `Block` struct itself lives inside the slot arena and is
-    /// charged to the slab shell.
+    /// The block's heap payload: both iedge maps (its extent run is
+    /// charged to [`Extents`]). The `Block` struct itself lives inside
+    /// the slot arena and is charged to the slab shell.
     fn heap_use(&self) -> usize {
-        self.extent.heap_bytes() + self.parents.heap_use() + self.children.heap_use()
+        let Self {
+            label: _,
+            parents,
+            children,
+        } = self;
+        parents.heap_use() + children.heap_use()
     }
 }
 
@@ -127,10 +128,9 @@ impl HeapUse for Block {
 #[derive(Clone, Default)]
 pub struct Partition {
     blocks: SlotMap<BlockId, Block>,
-    /// dnode → block, `BlockId::INVALID` when the node is not indexed.
-    node_block: Vec<BlockId>,
-    /// dnode → position inside its block's extent.
-    node_pos: Vec<u32>,
+    /// Extent membership: dnode → block and position, and the
+    /// `Arc`-shared runs frozen snapshots read.
+    extents: Extents<BlockId>,
     /// Live blocks whose parent map is empty (candidates for merging with
     /// other parentless blocks; normally just the root block). Sorted, so
     /// partner probes iterate deterministically.
@@ -145,9 +145,6 @@ pub struct Partition {
     split_flag: ScratchTable<bool>,
     /// Per-split scratch: partner block by split block slot index.
     split_partner: ScratchTable<BlockId>,
-    /// Cumulative count of extent runs cloned because a frozen snapshot
-    /// still shared them (exported as `snapshot_cow_clones`).
-    cow_clones: u64,
 }
 
 impl Partition {
@@ -156,15 +153,13 @@ impl Partition {
         let cap = g.capacity();
         Partition {
             blocks: SlotMap::new(),
-            node_block: vec![BlockId::INVALID; cap],
-            node_pos: vec![0; cap],
+            extents: Extents::new(cap),
             orphans: BTreeSet::new(),
             mark: vec![0; cap],
             epoch: 0,
             split_counts: ScratchTable::new(),
             split_flag: ScratchTable::new(),
             split_partner: ScratchTable::new(),
-            cow_clones: 0,
         }
     }
 
@@ -172,9 +167,8 @@ impl Partition {
     /// Call after adding nodes to the graph.
     pub fn ensure_capacity(&mut self, g: &Graph) {
         let cap = g.capacity();
-        if cap > self.node_block.len() {
-            self.node_block.resize(cap, BlockId::INVALID);
-            self.node_pos.resize(cap, 0);
+        self.extents.ensure_capacity(cap);
+        if cap > self.mark.len() {
             self.mark.resize(cap, 0);
         }
     }
@@ -188,9 +182,7 @@ impl Partition {
     /// Whether `n` is assigned to a block.
     #[inline]
     pub fn is_indexed(&self, n: NodeId) -> bool {
-        self.node_block
-            .get(n.index())
-            .is_some_and(|&b| b != BlockId::INVALID)
+        self.extents.is_indexed(n)
     }
 
     /// The block containing dnode `n` — the paper's `I[n]`.
@@ -199,9 +191,7 @@ impl Partition {
     /// Panics if `n` is not indexed.
     #[inline]
     pub fn block_of(&self, n: NodeId) -> BlockId {
-        let b = self.node_block[n.index()];
-        debug_assert!(b != BlockId::INVALID, "node {n:?} is not indexed");
-        b
+        self.extents.block_of(n)
     }
 
     /// Whether `b` refers to a live, current-generation block.
@@ -225,7 +215,8 @@ impl Partition {
     /// The extent of block `b`.
     #[inline]
     pub fn extent(&self, b: BlockId) -> &[NodeId] {
-        &self.blocks[b].extent
+        debug_assert!(self.is_live(b), "stale or dead handle {b:?}");
+        self.extents.extent(b)
     }
 
     /// Shares block `b`'s extent run with a frozen snapshot: O(1), no
@@ -234,7 +225,8 @@ impl Partition {
     /// keeps this version.
     #[inline]
     pub fn share_extent(&self, b: BlockId) -> Arc<Vec<NodeId>> {
-        self.blocks[b].extent.share() // xsi-lint: allow(slice-index, caller passes a live block handle)
+        debug_assert!(self.is_live(b), "stale or dead handle {b:?}");
+        self.extents.share(b)
     }
 
     /// Cumulative count of extent runs cloned because a frozen snapshot
@@ -242,13 +234,14 @@ impl Partition {
     /// actually lands on a frozen block.
     #[inline]
     pub fn cow_clone_count(&self) -> u64 {
-        self.cow_clones
+        self.extents.cow_clones()
     }
 
     /// `|b|`: the number of dnodes in block `b`.
     #[inline]
     pub fn size(&self, b: BlockId) -> usize {
-        self.blocks[b].extent.len()
+        debug_assert!(self.is_live(b), "stale or dead handle {b:?}");
+        self.extents.len(b)
     }
 
     /// The label shared by all dnodes of block `b`.
@@ -305,12 +298,12 @@ impl Partition {
     pub fn new_block(&mut self, label: Label) -> BlockId {
         let (id, blk) = self.blocks.alloc();
         blk.label = label;
-        debug_assert!(blk.extent.is_empty(), "recycled slot kept its extent");
         // Normalize recycled maps back to the inline representation
         // (they are empty per the release contract, but a spilled map
         // stays spilled until cleared).
         blk.parents.clear();
         blk.children.clear();
+        self.extents.open(id);
         self.orphans.insert(id); // no parents yet
         id
     }
@@ -321,10 +314,7 @@ impl Partition {
     pub fn release_block(&mut self, b: BlockId) {
         // Hot path: debug_assert keeps the checks out of release builds;
         // the release-debug-asserts CI job still exercises them compiled in.
-        debug_assert!(
-            self.blocks[b].extent.is_empty(),
-            "releasing non-empty block {b:?}"
-        );
+        debug_assert_eq!(self.size(b), 0, "releasing non-empty block {b:?}");
         debug_assert!(
             self.blocks[b].parents.is_empty(),
             "released block has parent iedges"
@@ -342,45 +332,25 @@ impl Partition {
     /// addition) or when the caller finishes with [`Partition::rebuild_counts`]
     /// (bulk construction).
     pub fn attach_node(&mut self, n: NodeId, b: BlockId) {
-        debug_assert!(!self.is_indexed(n), "attach of already-indexed {n:?}");
-        let blk = &mut self.blocks[b];
-        self.node_block[n.index()] = b;
-        self.node_pos[n.index()] = blk.extent.len() as u32;
-        blk.extent.make_mut(&mut self.cow_clones).push(n);
+        debug_assert!(self.is_live(b), "stale or dead handle {b:?}");
+        self.extents.attach(n, b);
     }
 
     /// Removes a node from its block **without** touching iedge counts —
     /// the counterpart of [`Partition::attach_node`], for deleting a node
     /// that has no remaining edges. Returns the block it was removed from.
     pub fn detach_node(&mut self, n: NodeId) -> BlockId {
-        let b = self.block_of(n);
-        self.remove_from_extent(n, b);
-        self.node_block[n.index()] = BlockId::INVALID;
-        b
-    }
-
-    fn remove_from_extent(&mut self, n: NodeId, b: BlockId) {
-        let pos = self.node_pos[n.index()] as usize;
-        let extent = self.blocks[b].extent.make_mut(&mut self.cow_clones);
-        debug_assert_eq!(extent[pos], n);
-        extent.swap_remove(pos);
-        if let Some(&moved) = extent.get(pos) {
-            self.node_pos[moved.index()] = pos as u32;
-        }
+        self.extents.detach(n)
     }
 
     /// Moves node `n` from its current block to `to`, keeping all iedge
     /// counts consistent. O(deg(n)).
     pub fn move_node(&mut self, g: &Graph, n: NodeId, to: BlockId) {
-        let from = self.block_of(n);
+        debug_assert!(self.is_live(to), "stale or dead handle {to:?}");
+        let from = self.extents.move_to(n, to);
         if from == to {
             return;
         }
-        self.remove_from_extent(n, from);
-        let blk = &mut self.blocks[to];
-        self.node_block[n.index()] = to;
-        self.node_pos[n.index()] = blk.extent.len() as u32;
-        blk.extent.make_mut(&mut self.cow_clones).push(n);
         // Re-home the counts of every dedge incident to n. Other endpoints
         // are stationary, and self-loops are impossible, so their blocks
         // are well-defined throughout.
@@ -437,8 +407,8 @@ impl Partition {
         let epoch = self.epoch;
         let mut out = Vec::new();
         for &b in blocks {
-            for i in 0..self.blocks[b].extent.len() {
-                let u = self.blocks[b].extent[i];
+            debug_assert!(self.is_live(b), "stale or dead handle {b:?}");
+            for &u in self.extents.extent(b) {
                 for v in g.succ(u) {
                     if self.mark[v.index()] != epoch {
                         self.mark[v.index()] = epoch;
@@ -522,29 +492,11 @@ impl Partition {
     /// Cost: O(|src extent| + iedges incident to src). Callers should pass
     /// the smaller block as `src`.
     pub fn merge_blocks(&mut self, dst: BlockId, src: BlockId) {
-        // A self-merge would silently destroy the extent via the drain
-        // below, so this guard must survive into release builds.
-        // xsi-lint: allow(hot-assert, self-merge corrupts the extent irrecoverably; cost is one compare per merge)
-        assert_ne!(dst, src, "merging a block with itself");
         debug_assert_eq!(self.label(dst), self.label(src), "label mismatch in merge");
-        // Extent transfer.
-        // xsi-lint: allow(cow-discipline, take swaps in a fresh empty run; the taken handle still shares with any snapshot reading it)
-        let src_extent = std::mem::take(&mut self.blocks[src].extent);
-        for &n in src_extent.iter() {
-            let blk = &mut self.blocks[dst];
-            self.node_block[n.index()] = dst;
-            self.node_pos[n.index()] = blk.extent.len() as u32;
-            blk.extent.make_mut(&mut self.cow_clones).push(n);
-        }
-        // Reuse the drained run's allocation for src's next life — unless
-        // a frozen snapshot still shares it, in which case the snapshot
-        // keeps the nodes and src starts from the fresh empty run that
-        // `take` left behind.
-        if let Some(mut recycled) = src_extent.take_unique() {
-            recycled.clear();
-            // xsi-lint: allow(cow-discipline, take_unique proved the run unshared; no snapshot can observe the swap)
-            self.blocks[src].extent = recycled.into();
-        }
+        // Extent transfer; `Extents::merge` keeps the release-mode
+        // self-merge guard and recycles src's run when no snapshot
+        // shares it.
+        self.extents.merge(dst, src);
         // Count transfer. Drain src's maps (sorted, keeping their spill
         // history in the slot), remove the src↔src self entry (it appears
         // in both maps but describes the same dedges), then replay every
@@ -691,14 +643,23 @@ impl Partition {
     /// Deep heap bytes owned by the partition (capacity-based); the
     /// decomposed view is [`Partition::mem_report`].
     pub fn heap_use(&self) -> usize {
-        self.blocks.heap_use()
-            + vec_cap_heap(&self.node_block)
-            + vec_cap_heap(&self.node_pos)
-            + vec_cap_heap(&self.mark)
-            + btree_set_heap::<BlockId>(self.orphans.len())
-            + self.split_counts.heap_use()
-            + self.split_flag.heap_use()
-            + self.split_partner.heap_use()
+        let Self {
+            blocks,
+            extents,
+            orphans,
+            mark,
+            epoch: _,
+            split_counts,
+            split_flag,
+            split_partner,
+        } = self;
+        blocks.heap_use()
+            + extents.heap_use()
+            + vec_cap_heap(mark)
+            + btree_set_heap::<BlockId>(orphans.len())
+            + split_counts.heap_use()
+            + split_flag.heap_use()
+            + split_partner.heap_use()
     }
 
     /// A point-in-time deep-memory attribution of the partition, per the
@@ -710,11 +671,6 @@ impl Partition {
         let mut live_payload = 0usize;
         for (_, blk) in self.blocks.iter() {
             r.blocks += 1;
-            r.record_extent(
-                blk.extent.len(),
-                blk.extent.heap_bytes(),
-                blk.extent.is_shared(),
-            );
             for m in [&blk.parents, &blk.children] {
                 match m.inline_occupancy() {
                     Some(occ) => r.record_inline_map(occ),
@@ -726,13 +682,13 @@ impl Partition {
         let all_payload: usize = self.blocks.iter_all_slots().map(Block::heap_use).sum();
         r.dead_retained_bytes = (all_payload - live_payload) as u64;
         r.slab_bytes = self.blocks.shell_bytes() as u64;
-        r.side_table_bytes = (vec_cap_heap(&self.node_block)
-            + vec_cap_heap(&self.node_pos)
-            + vec_cap_heap(&self.mark)
-            + btree_set_heap::<BlockId>(self.orphans.len())) as u64;
+        r.side_table_bytes =
+            (vec_cap_heap(&self.mark) + btree_set_heap::<BlockId>(self.orphans.len())) as u64;
         r.scratch_bytes = (self.split_counts.heap_use()
             + self.split_flag.heap_use()
             + self.split_partner.heap_use()) as u64;
+        self.extents
+            .record_mem(&mut r, self.blocks.keys().map(|b| (b, true)));
         r
     }
 
@@ -751,31 +707,27 @@ impl Partition {
         out
     }
 
-    /// Exhaustive structural verification: extents are disjoint and agree
-    /// with the node→block map, labels are homogeneous, iedge counts match
-    /// a recount from the graph, and the orphan set is exact. Intended for
-    /// tests; O(n + m).
+    /// Exhaustive structural verification: extents are disjoint, agree
+    /// with the node→block map in both directions and hold only live
+    /// dnodes, labels are homogeneous, iedge counts match a recount from
+    /// the graph, and the orphan set is exact. Intended for tests;
+    /// O(n + m).
     pub fn check_consistency(&self, g: &Graph) -> Result<(), String> {
-        let mut seen_nodes = 0usize;
+        self.extents.check_consistency(self.blocks.keys())?;
         let mut live = 0usize;
         for (b, blk) in self.blocks.iter() {
             live += 1;
-            if blk.extent.is_empty() {
+            let extent = self.extents.extent(b);
+            if extent.is_empty() {
                 return Err(format!("live block {b:?} has empty extent"));
             }
-            for (pos, &n) in blk.extent.iter().enumerate() {
-                if self.node_block[n.index()] != b {
-                    return Err(format!(
-                        "node {n:?} in extent of {b:?} but mapped elsewhere"
-                    ));
-                }
-                if self.node_pos[n.index()] as usize != pos {
-                    return Err(format!("node {n:?} position table out of sync"));
+            for &n in extent {
+                if !g.is_alive(n) {
+                    return Err(format!("extent of {b:?} holds removed node {n:?}"));
                 }
                 if g.label(n) != blk.label {
                     return Err(format!("label mismatch in block {b:?} at node {n:?}"));
                 }
-                seen_nodes += 1;
             }
             if self.orphans.contains(&b) != blk.parents.is_empty() {
                 return Err(format!("orphan set wrong for {b:?}"));
@@ -785,12 +737,6 @@ impl Partition {
             return Err(format!(
                 "live block counter {} != actual {live}",
                 self.blocks.len()
-            ));
-        }
-        let indexed = g.nodes().filter(|&n| self.is_indexed(n)).count();
-        if indexed != seen_nodes {
-            return Err(format!(
-                "{indexed} indexed nodes but {seen_nodes} across extents"
             ));
         }
         // Recount iedges.

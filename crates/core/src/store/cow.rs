@@ -10,6 +10,10 @@
 //! block clones exactly that block's run — counted in the `clones`
 //! out-parameter so the obs layer can export `snapshot_cow_clones`.
 //!
+//! The type is private to `core::store`: [`super::Extents`] is its only
+//! user, so the "every write goes through `make_mut`" rule is a matter
+//! of module privacy, not of discipline at each call site.
+//!
 //! Single-writer like everything else in the data plane: the live index
 //! mutates through `&mut self`, so `make_mut` needs no locking —
 //! `Arc::make_mut` alone decides between in-place mutation (unique) and
@@ -84,12 +88,6 @@ impl<T> CowVec<T> {
     #[inline]
     pub fn heap_bytes(&self) -> usize {
         crate::obs::mem::ARC_VEC_HEADER + self.inner.capacity() * std::mem::size_of::<T>()
-    }
-}
-
-impl<T> crate::obs::mem::HeapUse for CowVec<T> {
-    fn heap_use(&self) -> usize {
-        self.heap_bytes()
     }
 }
 

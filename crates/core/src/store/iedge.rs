@@ -353,7 +353,8 @@ impl<K: SlotKey> crate::obs::mem::HeapUse for IedgeMap<K> {
     /// spilled maps are charged per entry at the documented `BTreeMap`
     /// estimate.
     fn heap_use(&self) -> usize {
-        match &self.repr {
+        let Self { repr, spills: _ } = self;
+        match repr {
             Repr::Inline { .. } => 0,
             Repr::Spilled(m) => crate::obs::mem::btree_map_heap::<K, u32>(m.len()),
         }

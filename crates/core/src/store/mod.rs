@@ -23,21 +23,25 @@
 //!   the transient per-operation tables (splitter counts, partner
 //!   assignment) that used to be freshly allocated `HashMap`s on every
 //!   `split_by_set` call.
-//! * [`CowVec`] — `Arc`-shared extent runs with copy-on-write mutation,
-//!   the storage contract behind [`crate::view::IndexSnapshot`]: a
-//!   freeze shares every run in O(1) each, and the writer's next
-//!   mutation of a frozen block clones only that block's run.
+//! * [`Extents`] — extent membership for both index families: the
+//!   node→block and node→position tables and one `Arc`-shared,
+//!   copy-on-write run per block slot. It is the storage contract behind
+//!   [`crate::view::IndexSnapshot`]: a freeze shares every run in O(1)
+//!   each, and the writer's next mutation of a frozen block clones only
+//!   that block's run. The run type (`cow::CowVec`) is private to this
+//!   module, so every extent write goes through `Extents`.
 //!
 //! The [`StoreReport`] summarizes iedge-map representation state for the
 //! obs layer (inline vs spilled population, cumulative spill events,
 //! probe lengths).
 
-pub mod cow;
+mod cow;
+pub mod extents;
 pub mod iedge;
 pub mod scratch;
 pub mod slot;
 
-pub use cow::CowVec;
+pub use extents::Extents;
 pub use iedge::{IedgeMap, IedgeRepr};
 pub use scratch::ScratchTable;
 pub use slot::{SlotKey, SlotMap};

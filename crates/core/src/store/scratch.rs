@@ -93,9 +93,15 @@ impl<V: Copy + Default> crate::obs::mem::HeapUse for ScratchTable<V> {
     /// long-lived per-index allocations (that is the point of them), so
     /// they are part of the persistent footprint.
     fn heap_use(&self) -> usize {
-        crate::obs::mem::vec_cap_heap(&self.stamp)
-            + crate::obs::mem::vec_cap_heap(&self.vals)
-            + crate::obs::mem::vec_cap_heap(&self.touched)
+        let Self {
+            stamp,
+            vals,
+            touched,
+            epoch: _,
+        } = self;
+        crate::obs::mem::vec_cap_heap(stamp)
+            + crate::obs::mem::vec_cap_heap(vals)
+            + crate::obs::mem::vec_cap_heap(touched)
     }
 }
 

@@ -194,10 +194,17 @@ impl<K: SlotKey, T: Default + crate::obs::mem::HeapUse> crate::obs::mem::HeapUse
     /// recycled slots deliberately retain their allocations, and this
     /// is where that retention is made visible.
     fn heap_use(&self) -> usize {
-        self.shell_bytes()
-            + self
-                .iter_all_slots()
-                .map(crate::obs::mem::HeapUse::heap_use)
+        let Self {
+            slots,
+            free,
+            live: _,
+            _key: _,
+        } = self;
+        crate::obs::mem::vec_cap_heap(slots)
+            + crate::obs::mem::vec_cap_heap(free)
+            + slots
+                .iter()
+                .map(|s| crate::obs::mem::HeapUse::heap_use(&s.val))
                 .sum::<usize>()
     }
 }

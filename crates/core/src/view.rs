@@ -3,7 +3,7 @@
 //! An [`IndexSnapshot`] is a point-in-time, immutable image of a live
 //! structural index, frozen in **O(blocks)**: the freeze walks the live
 //! block table once and takes an `Arc` clone of each block's extent run
-//! ([`crate::store::CowVec::share`]) — no node id is copied up front.
+//! ([`crate::store::Extents::share`]) — no node id is copied up front.
 //! The writer keeps mutating the live index; its first mutation of a
 //! block whose run a snapshot still shares clones exactly that run
 //! (copy-on-write), leaving the snapshot's image untouched. The
@@ -219,9 +219,14 @@ impl crate::obs::mem::HeapUse for FrozenBlock {
     /// live index still co-holds it is the sharing question the live
     /// side's `MemReport` answers; the snapshot always retains it.
     fn heap_use(&self) -> usize {
-        self.label.capacity()
-            + crate::obs::mem::arc_vec_heap(&self.extent) // xsi-lint: allow(store-discipline, read-only size probe of FrozenBlock's own field, not arena storage)
-            + crate::obs::mem::vec_cap_heap(&self.isucc)
+        let Self {
+            label,
+            extent,
+            isucc,
+        } = self;
+        label.capacity()
+            + crate::obs::mem::arc_vec_heap(extent)
+            + crate::obs::mem::vec_cap_heap(isucc)
     }
 }
 
@@ -229,10 +234,16 @@ impl crate::obs::mem::HeapUse for IndexSnapshot {
     /// Deep bytes retained by the snapshot — exported as the
     /// `snapshot_retained_bytes` gauge at freeze time.
     fn heap_use(&self) -> usize {
-        self.family.capacity()
-            + crate::obs::mem::vec_cap_heap(&self.blocks)
-            + self
-                .blocks
+        let Self {
+            family,
+            start: _,
+            precise: _,
+            blocks,
+            block_count: _,
+        } = self;
+        family.capacity()
+            + crate::obs::mem::vec_cap_heap(blocks)
+            + blocks
                 .iter()
                 .flatten()
                 .map(crate::obs::mem::HeapUse::heap_use)
@@ -263,7 +274,6 @@ impl IndexQueryView for IndexSnapshot {
         &self
             .block(b)
             .expect("invariant: walker only visits live frozen block ids")
-            // xsi-lint: allow(store-discipline, FrozenBlock's own field on an immutable snapshot — not the live arena the accessors guard)
             .extent
     }
 

@@ -160,9 +160,8 @@ fn extract_calls(
     let src = &sources[f.file];
     let toks = &src.toks;
     let mut out = Vec::new();
-    // Dedup repeated identical (name, method) calls per body to keep
-    // site lists compact; adjacency dedups anyway, but store-discipline
-    // iterates sites, so cap the noise. Key: (name, line).
+    // Dedup repeated identical calls on one line to keep site lists
+    // compact (the adjacency list dedups anyway). Key: (name, line).
     let mut seen: BTreeMap<(String, u32), ()> = BTreeMap::new();
     for i in open..=close {
         let t = &toks[i];

@@ -5,15 +5,12 @@
 //! Vec<Finding>)` function, a [`RuleInfo`] entry here, and a fixture
 //! triple (positive / waived / clean) under `tests/fixtures/`.
 
-pub mod cow_discipline;
 pub mod dense_side_table;
 pub mod hash_iter;
 pub mod hygiene;
-pub mod mem_accounting;
 pub mod panic_reach;
 pub mod panics;
 pub mod span_coverage;
-pub mod store_discipline;
 
 use crate::callgraph::CallGraph;
 use crate::source::SourceFile;
@@ -179,94 +176,6 @@ line with `// xsi-lint: allow(panic-reach, <why this surface is \
 panic-acceptable>)`.",
     },
     RuleInfo {
-        name: "store-discipline",
-        severity: Severity::Deny,
-        baselineable: false,
-        waivable: true,
-        summary: "raw slot-arena / extent-storage access outside the accessor layer (one helper level deep)",
-        explain: "\
-The dense store's correctness story (DESIGN.md §10–§11) assumes every \
-extent touch goes through the owning index's accessors, where \
-generation checks and the CoW gate live. Rust's privacy rules cannot \
-enforce that: the maintainers are *child modules* of the index \
-modules, so `self.blocks[b].extent` compiles fine from \
-`akindex/maintain.rs` even though it bypasses the accessor layer. \
-This rule enforces what the compiler cannot.
-
-Tiering: the accessor layer (`core/src/store/`, `kernel.rs`, \
-`partition.rs`, `akindex/mod.rs`, `akindex/storage.rs`, \
-`oneindex/mod.rs`) may do anything — it *is* the implementation. \
-Maintainer modules (the rest of `akindex/`/`oneindex/`) may index the \
-arenas for side fields (weights, tree links: that is their job) but \
-raw `.extent` field access is flagged. Every other core file is \
-flagged for both raw `.extent` access and raw `.blocks[…]` arena \
-indexing. Calls to a helper fn whose body raw-accesses the store are \
-flagged too (one level of indirection): a helper does not launder \
-discipline. Waiving the helper's own access — arguing it safe — also \
-un-taints its callers.
-
-Fix: add (or use) an accessor on the owning index. Waive only with \
-the argument for why the raw access is sound, e.g. \
-`// xsi-lint: allow(store-discipline, FrozenBlock's own field, not \
-arena storage)`. Not baselineable: the accessor layer's boundary \
-starts clean and stays clean.",
-    },
-    RuleInfo {
-        name: "cow-discipline",
-        severity: Severity::Deny,
-        baselineable: false,
-        waivable: true,
-        summary: "extent storage mutated without routing through the CoW gate (make_mut/share/take_unique)",
-        explain: "\
-Frozen read views (DESIGN.md §11) stay O(1) because live blocks and \
-snapshots *share* extent runs; the only thing keeping a frozen reader \
-safe from a live writer is that every write goes through \
-`CowVec::make_mut`, which clones a shared run before mutating. \
-`CowVec` deliberately implements `Deref` but not `DerefMut`, so \
-in-place mutation *methods* cannot compile outside the gate. What \
-remains expressible is flagged here: whole-handle replacement \
-(`….extent = …`) and raw `&mut` borrows of the field \
-(`mem::take(&mut ….extent)`, `&mut blk.extent` handed to a helper) — \
-both can swap or mutate storage without the shared-run check. Scope: \
-all of `core/src/` except `core/src/store/` (the gate itself).
-
-Fix: route the write through `make_mut`, or take ownership via \
-`take_unique` (which refuses shared runs). The block-recycling paths \
-legitimately swap handles of provably unshared runs; those carry \
-waivers stating the ownership argument, e.g. \
-`// xsi-lint: allow(cow-discipline, handle swap of a run proven \
-unshared by take_unique)`. Not baselineable: a CoW bypass is a \
-use-after-free-shaped correctness bug, never debt to freeze.",
-    },
-    RuleInfo {
-        name: "mem-accounting",
-        severity: Severity::Deny,
-        baselineable: false,
-        waivable: true,
-        summary: "heap-owning struct fields missing from the type's heap_use() accounting",
-        explain: "\
-The memory observability layer (DESIGN.md §13) promises that \
-`MemReport::total_bytes()` equals the deep `heap_use()` bytes \
-*exactly*, and the walker-oracle test pins that equality — but both \
-sides of the oracle read the same `heap_use()` implementations, so a \
-forgotten field undercounts both sides in lockstep and no dynamic \
-check can notice bytes it was never told about. This rule closes the \
-loop statically: in any file defining a `heap_use` fn (trait impl or \
-inherent) for a locally-declared struct, every named field whose type \
-mentions a heap-owning container (Vec, String, BTree*/Hash* maps and \
-sets, Arc, Box, Rc, VecDeque, CowVec, IedgeMap, ScratchTable, \
-SlotMap) must be named in the `heap_use` body, directly or in a \
-same-type method it calls (one level — the `heap_use` → \
-`shell_bytes` idiom).
-
-Fix: account the field's bytes. Deliberately-excluded memory (derived \
-caches rebuilt on demand, back-references whose bytes another owner \
-counts) gets a waiver on the field line stating the exclusion \
-argument: `// xsi-lint: allow(mem-accounting, transient memo, \
-dropped after each update)`. Not baselineable: the accounting \
-contract starts exact and stays exact.",
-    },
-    RuleInfo {
         name: "span-coverage",
         severity: Severity::Deny,
         baselineable: false,
@@ -403,7 +312,6 @@ pub fn run_all(f: &SourceFile, out: &mut Vec<Finding>) {
     dense_side_table::run(f, out);
     hash_iter::run(f, out);
     panics::run(f, out);
-    mem_accounting::run(f, out);
     span_coverage::run(f, out);
     hygiene::run(f, out);
     // bad-waiver: malformed directives, plus waivers naming unknown rules.
@@ -436,8 +344,6 @@ pub fn run_interproc(
     out: &mut Vec<Finding>,
 ) {
     panic_reach::run(sources, table, graph, out);
-    store_discipline::run(sources, table, graph, out);
-    cow_discipline::run(sources, table, graph, out);
 }
 
 /// Construct a finding for `rule` at `line`, with severity from the

@@ -127,30 +127,6 @@ fn span_coverage_fires_on_uninstrumented_engine_entry_point() {
 }
 
 #[test]
-fn mem_accounting_fires_respects_waiver_and_is_not_baselineable() {
-    let r = run_fixture(None);
-    let hits = live(&r, "mem-accounting");
-    // Exactly Leaky.spill; the waived Transient.memo, the directly
-    // accounted struct, and the one-helper-level route are quiet.
-    assert_eq!(hits.len(), 1, "{hits:?}");
-    assert_eq!(hits[0].0, "crates/core/src/mem.rs");
-    let f = r
-        .findings
-        .iter()
-        .find(|f| f.rule == "mem-accounting" && f.suppressed.is_none())
-        .expect("the live finding just counted");
-    assert!(f.message.contains("Leaky.spill"), "{}", f.message);
-    assert_eq!(
-        count_suppressed(&r, "mem-accounting", Suppression::Waived),
-        1
-    );
-    // Not baselineable: freezing today's counts must not hide it.
-    let frozen = Baseline::from_counts(r.ratchet_counts.clone());
-    let second = run_fixture(Some(frozen));
-    assert_eq!(live(&second, "mem-accounting").len(), 1);
-}
-
-#[test]
 fn span_coverage_fires_respects_waiver_and_is_not_baselineable() {
     let r = run_fixture(None);
     let hits = live(&r, "span-coverage");
@@ -219,45 +195,10 @@ fn panic_reach_fires_waives_and_ratchets_per_entry_point() {
 }
 
 #[test]
-fn store_discipline_fires_direct_and_one_level_down() {
-    let r = run_fixture(None);
-    let hits = live(&r, "store-discipline");
-    // raw_touch's direct hit, via_helper's call site, and view.rs's
-    // raw peek; the waived reads and the accessor-routed fns are quiet.
-    assert_eq!(hits.len(), 3, "{hits:?}");
-    assert!(r
-        .findings
-        .iter()
-        .any(|f| f.rule == "store-discipline" && f.message.contains("one level down")));
-    assert_eq!(
-        count_suppressed(&r, "store-discipline", Suppression::Waived),
-        2
-    );
-    // Not baselineable: freezing today's counts must not hide it.
-    let frozen = Baseline::from_counts(r.ratchet_counts.clone());
-    let second = run_fixture(Some(frozen));
-    assert_eq!(live(&second, "store-discipline").len(), 3);
-}
-
-#[test]
-fn cow_discipline_fires_on_bypass_and_respects_waiver() {
-    let r = run_fixture(None);
-    let hits = live(&r, "cow-discipline");
-    // Exactly swap_in's whole-handle replacement; recycle's `&mut`
-    // take is waived and the make_mut route is clean.
-    assert_eq!(hits.len(), 1, "{hits:?}");
-    assert_eq!(hits[0].0, "crates/core/src/akindex/mod.rs");
-    assert_eq!(
-        count_suppressed(&r, "cow-discipline", Suppression::Waived),
-        1
-    );
-}
-
-#[test]
 fn dead_waiver_flags_the_stale_allow() {
     let r = run_fixture(None);
     let hits = live(&r, "dead-waiver");
-    // Exactly view.rs's cow-discipline waiver over a plain field read;
+    // Exactly view.rs's hash-iter waiver over a plain field read;
     // every other fixture waiver suppresses at least one finding.
     assert_eq!(hits.len(), 1, "{hits:?}");
     assert_eq!(hits[0].0, "crates/core/src/view.rs");

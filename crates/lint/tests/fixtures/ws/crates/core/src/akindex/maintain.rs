@@ -1,32 +1,8 @@
-//! Fixture ak maintainer: store-discipline and panic-reach
-//! expectations. Maintainer tier: arena side fields are fair game, but
-//! extent storage must route through the accessors. Also a panic-reach
-//! entry file; the entry fns take `&self` so the obs/span coverage
-//! rules stay out of the frame.
+//! Fixture ak maintainer: panic-reach expectations. A panic-reach
+//! entry file; the entry fns take `&self` so the span coverage rule
+//! stays out of the frame.
 
 impl AkIndex {
-    // Positive: raw extent access in maintainer tier.
-    fn raw_touch(&mut self) {
-        self.top.extent.clear();
-    }
-
-    // Positive (one level down): calling the raw helper is flagged too.
-    fn via_helper(&mut self) {
-        self.raw_touch();
-    }
-
-    // Waived: the waiver argues the access safe, so it neither fires
-    // nor taints this fn's callers.
-    fn raw_read(&self) -> usize {
-        // xsi-lint: allow(store-discipline, fixture: audited read with a single call site)
-        self.top.extent.len()
-    }
-
-    // Clean: routed through the accessor layer.
-    fn routed(&self) -> usize {
-        self.extent(0).len()
-    }
-
     // Positive: a pub entry point whose private helper unwraps.
     pub fn entry_reaches_unwrap(&self, x: Option<u32>) -> u32 {
         self.lookup(x)

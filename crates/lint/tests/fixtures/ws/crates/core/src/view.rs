@@ -1,28 +1,11 @@
-//! Fixture view: store-discipline "other tier" expectations and a
-//! deliberately dead waiver for the self-audit rule.
+//! Fixture view: a deliberately dead waiver for the self-audit rule.
 
 pub struct View {
     pub top: Block,
 }
 
-// Positive: raw extent field access outside the index modules.
-fn peek_raw(v: &View) -> usize {
-    v.top.extent.len()
-}
-
-// Waived: audited read.
-fn peek_waived(v: &View) -> usize {
-    // xsi-lint: allow(store-discipline, fixture: audited read during freeze)
-    v.top.extent.len()
-}
-
-// Clean: routed through the accessor.
-fn peek_routed(idx: &AkIndex) -> usize {
-    idx.extent(0).len()
-}
-
 // Dead waiver: suppresses nothing on the line it covers.
-// xsi-lint: allow(cow-discipline, fixture: the hazard this argued safe is gone)
+// xsi-lint: allow(hash-iter, fixture: the hazard this argued safe is gone)
 fn peek_weight(v: &View) -> u64 {
     v.top.weight
 }
