@@ -12,7 +12,11 @@
 //!   (the index returns to its starting partition, so each iteration
 //!   does one full split phase and one full merge phase);
 //! * `1index_build` / `ak3_build`: Paige–Tarjan refinement from scratch
-//!   (pure splitter-scan throughput).
+//!   (pure splitter-scan throughput);
+//! * `1index_build_chain` / `1index_build_comb` (tier 2): 1-index
+//!   construction on a 4,000-deep single-label chain and on a comb of 40
+//!   single-label teeth 100 deep — the deep shapes on which a naive
+//!   refinement worklist goes quadratic.
 //!
 //! Usage: `xsi_perf_smoke [--scale 0.05] [--seed 42] [--json out.json]
 //! [--bench-out BENCH.json] [--metrics-out m.json]`.
@@ -102,6 +106,22 @@ fn setup(scale: f64, seed: u64) -> (Graph, Vec<(NodeId, NodeId)>) {
     // The sampled edges stay OUT of the graph; each pair benchmark
     // inserts then deletes one, returning the index to its start state.
     (g, edges)
+}
+
+/// `teeth` chains of `depth` `t` elements under one `comb` element.
+fn comb_graph(teeth: usize, depth: usize) -> Graph {
+    fn add(g: &mut Graph, parent: NodeId, label: &str) -> NodeId {
+        let n = g.add_node(label, None);
+        g.insert_edge(parent, n, EdgeKind::Child).unwrap(); // xsi-lint: allow(panic-unwrap, bench harness aborts loudly on a broken workload)
+        n
+    }
+    let mut g = Graph::new();
+    let root = g.root();
+    let comb = add(&mut g, root, "comb");
+    for _ in 0..teeth {
+        (0..depth).fold(comb, |prev, _| add(&mut g, prev, "t"));
+    }
+    g
 }
 
 fn write_artifact(path: &str, contents: &str, what: &str) {
@@ -211,6 +231,20 @@ fn run(args: &Args) {
         let r = bench_value("ak3_build", &mut build_ak);
         let c = if want_counters {
             instrumented(&mut build_ak)
+        } else {
+            SpanSummary::default()
+        };
+        results.push((r, c));
+    }
+    for (name, g) in [
+        // A one-tooth comb is a single-label chain.
+        ("1index_build_chain", comb_graph(1, 4_000)),
+        ("1index_build_comb", comb_graph(40, 100)),
+    ] {
+        let mut build = || OneIndex::build(&g);
+        let r = bench_value(name, &mut build);
+        let c = if want_counters {
+            instrumented(&mut build)
         } else {
             SpanSummary::default()
         };

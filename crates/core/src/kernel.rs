@@ -1,6 +1,7 @@
 //! The shared refinement kernel (DESIGN.md §10.3): one implementation of
 //! the Paige–Tarjan compound-queue split propagation and of the iterative
-//! merge fold, driven by both index families.
+//! merge fold, driven by both index families, and the from-scratch
+//! Paige–Tarjan solver that builds the 1-index.
 //!
 //! Before this module, `oneindex/maintain.rs` and `akindex/maintain.rs`
 //! each carried a private compound queue, a private copy of the
@@ -14,17 +15,21 @@
 //! * [`SplitDriver`] — weights, splitter scans, and the family-specific
 //!   stabilization primitive (`split_by_set` for the 1-index,
 //!   `split_levels_by` for the A(k) chain). [`process_compounds`] runs
-//!   the propagation loop over a [`CompoundQueue`]; [`refine_to_fixpoint`]
-//!   layers from-scratch refinement (construction, rebuild) on the same
-//!   loop by seeding it with one scan per initial block.
+//!   the propagation loop over a [`CompoundQueue`].
 //! * [`MergeDriver`] — successor enumeration, the merge-equivalence key,
 //!   and the family-specific group merge. [`merge_fold`] runs the
 //!   worklist.
 //!
+//! Construction does not go through a driver: [`coarsest_stable_partition`]
+//! runs Paige–Tarjan's three-way split over plain arrays of dense node
+//! ids, in O(m log n), and returns one class per node. 1-index
+//! construction and subgraph addition build their `Partition` once from
+//! those classes.
+//!
 //! Everything here iterates in sorted or explicitly-queued order —
 //! `CompoundQueue` tracks membership in a `BTreeMap`, `merge_fold`
-//! groups in a `BTreeMap` — so the kernel adds no hash-order
-//! nondeterminism on top of the drivers.
+//! groups in a `BTreeMap`, the solver works on arrays — so the kernel
+//! adds no hash-order nondeterminism on top of the drivers.
 
 use crate::obs::span::{SpanGuard, SpanKind};
 use crate::stats::UpdateStats;
@@ -215,51 +220,356 @@ pub fn process_compounds<D: SplitDriver>(
     }
 }
 
-/// From-scratch refinement: a plain worklist that scans one block per
-/// iteration and requeues both halves of every split, to the coarsest
-/// refinement of the seed partition stable w.r.t. itself. Used by
-/// 1-index construction and subgraph addition; `level` tags the seeds'
-/// level.
+/// "No block, no record" in the solver's `u32` tables.
+const NONE: u32 = u32::MAX;
+
+/// A block of the solver's current partition P: the segment
+/// `elems[start..end]` of its node permutation, whose prefix
+/// `start..mid` holds the nodes the split in progress marked, plus its
+/// links in the member list of its X-block `x`.
+#[derive(Clone, Copy)]
+struct PBlock {
+    start: u32,
+    mid: u32,
+    end: u32,
+    x: u32,
+    prev: u32,
+    next: u32,
+}
+
+/// A block of the coarser partition X (a compound when `len ≥ 2`): the
+/// head of its intrusive list of P-blocks, and the list's length. Every
+/// P-block is stable with respect to the union of each X-block.
+#[derive(Clone, Copy)]
+struct XBlock {
+    head: u32,
+    len: u32,
+}
+
+/// The coarsest stable refinement of `init_class` (Paige–Tarjan
+/// \[12\], O(m log n)): the coarsest partition of the nodes `0..n`,
+/// `n = init_class.len()`, that refines the initial classes and in
+/// which, for every pair of blocks B and D, D lies wholly inside or
+/// wholly outside `Succ(B)`. On a data graph labelled by its labels this
+/// is the bisimulation the 1-index is built from.
 ///
-/// This deliberately does NOT go through [`process_compounds`]: the
-/// compound loop's double scan (`Succ(I)` and `Succ(rest)`) is the
-/// right move for *maintenance*, where the queue invariant — stability
-/// w.r.t. each compound's union — holds and keeps `rest` scans cheap.
-/// From scratch no such invariant exists, a fragmenting seed block
-/// accretes all of its pieces into one compound, and every pop rescans
-/// the whole remainder: quadratic in the fragment count of a seed
-/// (measured 2.2× on `1index_build` at xmark scale 0.05). Single-block
-/// scans keep construction at one scan per queued block. Splits the
-/// driver reports into `cq` are drained back into the worklist after
-/// every stabilization, so `cq` leaves empty.
-pub fn refine_to_fixpoint<D: SplitDriver>(
-    d: &mut D,
-    g: &Graph,
-    seeds: &[D::Block],
-    level: usize,
-    cq: &mut CompoundQueue<D::Block>,
-    stats: &mut UpdateStats,
-) {
-    // One aggregate KernelScan span for the whole fixpoint run: builds
-    // scan thousands of blocks, so per-block spans would dominate the
-    // collection; the counters carry the volume instead.
+/// The graph is a CSR: node `u`'s successors are
+/// `succ[succ_offsets[u]..succ_offsets[u + 1]]`. Returns each node's
+/// class and the number of classes; class ids are dense, in no
+/// particular order.
+///
+/// The solver works on plain arrays and opens one `KernelScan` span per
+/// solve: `blocks` counts the splitter blocks processed, `elems` the
+/// dedges scanned to process them. Each dedge is scanned only when its
+/// source lies in a splitter at most half the size of the compound it
+/// leaves, so `elems` is at most m·log₂ n.
+///
+/// # Panics
+/// Panics if `succ_offsets` is not a non-decreasing sequence of `n + 1`
+/// offsets ending at `succ.len()`, or a successor is not below `n`.
+pub fn coarsest_stable_partition(
+    init_class: &[u32],
+    succ_offsets: &[u32],
+    succ: &[u32],
+) -> (Vec<u32>, usize) {
+    let n = init_class.len();
+    assert!(
+        succ_offsets.len() == n + 1
+            && succ_offsets.first() == Some(&0)
+            && succ_offsets.last() == Some(&(succ.len() as u32))
+            && succ_offsets.windows(2).all(|w| w.first() <= w.last())
+            && succ.iter().all(|&x| (x as usize) < n),
+        "coarsest_stable_partition: malformed CSR"
+    );
     let span = SpanGuard::enter(SpanKind::KernelScan);
-    let mut work: VecDeque<D::Block> = seeds.iter().copied().collect();
-    while let Some(b) = work.pop_front() {
-        if d.weight_of(b) == 0 {
-            continue;
+    let mut solver = Solver::new(init_class, succ_offsets, succ);
+    solver.refine(&span);
+    let classes = solver.pblocks.len();
+    (solver.block, classes)
+}
+
+/// The solver's state. Ids are `u32`: nodes index `elems`/`pos`/`block`,
+/// dedges index `succ`/`cnt_ref`, P-block ids index `pblocks` (only
+/// pushes create them), X-block ids index `xblocks` (likewise), and
+/// count records index `counts`.
+struct Solver<'a> {
+    succ_offsets: &'a [u32],
+    succ: &'a [u32],
+    /// The nodes, permuted so that every P-block is one segment.
+    elems: Vec<u32>,
+    /// Node → its index in `elems`.
+    pos: Vec<u32>,
+    /// Node → its P-block.
+    block: Vec<u32>,
+    pblocks: Vec<PBlock>,
+    xblocks: Vec<XBlock>,
+    /// The compound X-blocks, each once.
+    compound: Vec<u32>,
+    /// Count records: `counts[cnt_ref[e]]` is count(x, S), the number of
+    /// dedges into `x = succ[e]` from the X-block S holding `e`'s source.
+    counts: Vec<u32>,
+    cnt_ref: Vec<u32>,
+    /// Count records no dedge refers to any more.
+    free: Vec<u32>,
+    /// P-blocks holding marked nodes during one split.
+    touched: Vec<u32>,
+}
+
+impl<'a> Solver<'a> {
+    /// P starts as the initial classes split by "has a parent", so it is
+    /// stable with respect to X's one block U, the set of all nodes.
+    /// Record `x` is count(x, U) = indeg(x).
+    fn new(init_class: &[u32], succ_offsets: &'a [u32], succ: &'a [u32]) -> Self {
+        let n = init_class.len();
+        let mut counts = vec![0u32; n];
+        for &x in succ {
+            // xsi-lint: allow(slice-index, successors are node ids below n, checked on entry)
+            counts[x as usize] += 1;
         }
-        let splitter = d.scan_succ(g, &[b]);
-        span.add_blocks(1);
-        span.add_elems(splitter.len() as u64);
-        d.stabilize(g, &splitter, level, cq, stats);
-        stats.queue_peak = stats.queue_peak.max(work.len() + cq.work_size());
-        // Pure splitting never retires a block id (the remainder keeps
-        // the old handle), so flattening compounds into the FIFO is
-        // sound: every member is live and just needs its own scan.
-        while let Some((_, compound)) = cq.pop_lowest() {
-            work.extend(compound);
+        let key = |x: &u32| {
+            // xsi-lint: allow(slice-index, x ranges over the node ids 0..n that both tables cover)
+            (init_class[*x as usize], counts[*x as usize] > 0)
+        };
+        let mut elems: Vec<u32> = (0..n as u32).collect();
+        elems.sort_by_key(key);
+        let mut pblocks = Vec::new();
+        let mut block = vec![0u32; n];
+        let mut pos = vec![0u32; n];
+        let mut start = 0u32;
+        for run in elems.chunk_by(|a, b| key(a) == key(b)) {
+            let id = pblocks.len() as u32;
+            for (i, &x) in (start..).zip(run) {
+                // xsi-lint: allow(slice-index, elems is a permutation of the node ids 0..n)
+                (block[x as usize], pos[x as usize]) = (id, i);
+            }
+            let end = start + run.len() as u32;
+            pblocks.push(PBlock {
+                start,
+                mid: start,
+                end,
+                x: 0,
+                prev: id.checked_sub(1).unwrap_or(NONE),
+                next: id + 1,
+            });
+            start = end;
         }
+        if let Some(last) = pblocks.last_mut() {
+            last.next = NONE;
+        }
+        let len = pblocks.len() as u32;
+        let free = (0..n as u32).filter(|&x| !key(&x).1).collect::<Vec<_>>();
+        Solver {
+            succ_offsets,
+            succ,
+            elems,
+            pos,
+            block,
+            xblocks: vec![XBlock { head: 0, len }],
+            compound: if len >= 2 { vec![0] } else { Vec::new() },
+            pblocks,
+            counts,
+            cnt_ref: succ.to_vec(),
+            free,
+            touched: Vec::new(),
+        }
+    }
+
+    /// Runs Paige–Tarjan to the fixpoint: while X has a compound S, move
+    /// its smaller-of-two member B out into an X-block of its own and
+    /// split P three ways — by Succ(B), then by Succ(B) ∖ Succ(S ∖ B),
+    /// the nodes whose every parent in S lies in B.
+    fn refine(&mut self, span: &SpanGuard) {
+        let mut splitter: Vec<u32> = Vec::new();
+        // Succ(B) as (x, record of count(x, B), record of count(x, S)),
+        // each node once, and node → its count(x, B) record.
+        let mut hit: Vec<(u32, u32, u32)> = Vec::new();
+        let mut rec_b = vec![NONE; self.block.len()];
+        let mut marked: Vec<u32> = Vec::new();
+        while let Some(s) = self.compound.pop() {
+            let b = self.take_splitter(s);
+            let PBlock { start, end, .. } = self.pblock(b);
+            // B's own nodes may move while P splits, so copy them first.
+            splitter.clear();
+            // xsi-lint: allow(slice-index, a P-block's segment lies within elems, which holds all n nodes)
+            splitter.extend_from_slice(&self.elems[start as usize..end as usize]);
+            let mut scanned = 0;
+            for &y in &splitter {
+                for e in self.out_edges(y) {
+                    let (x, rs) = self.edge(e);
+                    // xsi-lint: allow(slice-index, successors are node ids below n, the length of rec_b)
+                    let rb = &mut rec_b[x as usize];
+                    if *rb == NONE {
+                        *rb = match self.free.pop() {
+                            Some(r) => r,
+                            None => {
+                                self.counts.push(0);
+                                self.counts.len() as u32 - 1
+                            }
+                        };
+                        hit.push((x, *rb, rs));
+                    }
+                    *self.count_mut(*rb) += 1;
+                }
+                scanned += self.out_edges(y).len() as u64;
+            }
+            span.add_blocks(1);
+            span.add_elems(scanned);
+            marked.clear();
+            marked.extend(hit.iter().map(|h| h.0));
+            self.split(&marked);
+            marked.clear();
+            marked.extend(
+                hit.iter()
+                    .filter(|&&(_, rb, rs)| self.count(rb) == self.count(rs))
+                    .map(|h| h.0),
+            );
+            self.split(&marked);
+            // B leaves S: count(x, S ∖ B) = count(x, S) − count(x, B), and
+            // B's dedges now refer to the count(x, B) records.
+            for &y in &splitter {
+                for e in self.out_edges(y) {
+                    let (x, _) = self.edge(e);
+                    // xsi-lint: allow(slice-index, dedge ids index cnt_ref and successors index rec_b)
+                    self.cnt_ref[e] = rec_b[x as usize];
+                }
+            }
+            for &(x, rb, rs) in &hit {
+                let c = self.count(rb);
+                let left = self.count_mut(rs);
+                *left -= c;
+                if *left == 0 {
+                    self.free.push(rs);
+                }
+                // xsi-lint: allow(slice-index, successors are node ids below n, the length of rec_b)
+                rec_b[x as usize] = NONE;
+            }
+            hit.clear();
+        }
+    }
+
+    /// Dedge `e`'s target and the record of count(target, S) for the
+    /// X-block S holding its source.
+    fn edge(&self, e: usize) -> (u32, u32) {
+        // xsi-lint: allow(slice-index, dedge ids come from out_edges, below m = succ.len() = cnt_ref.len())
+        (self.succ[e], self.cnt_ref[e])
+    }
+
+    fn count(&self, r: u32) -> u32 {
+        // xsi-lint: allow(slice-index, records are node ids below n or pushed onto counts, and counts starts n long)
+        self.counts[r as usize]
+    }
+
+    fn count_mut(&mut self, r: u32) -> &mut u32 {
+        // xsi-lint: allow(slice-index, records are node ids below n or pushed onto counts, and counts starts n long)
+        &mut self.counts[r as usize]
+    }
+
+    /// The dedge ids out of node `y`.
+    fn out_edges(&self, y: u32) -> std::ops::Range<usize> {
+        let y = y as usize;
+        // xsi-lint: allow(slice-index, y is a node id below n and succ_offsets holds n + 1 entries)
+        self.succ_offsets[y] as usize..self.succ_offsets[y + 1] as usize
+    }
+
+    fn pblock(&self, b: u32) -> PBlock {
+        // xsi-lint: allow(slice-index, P-block ids are pblocks indices: only pushes create them)
+        self.pblocks[b as usize]
+    }
+
+    fn pblock_mut(&mut self, b: u32) -> &mut PBlock {
+        // xsi-lint: allow(slice-index, P-block ids are pblocks indices: only pushes create them)
+        &mut self.pblocks[b as usize]
+    }
+
+    fn xblock_mut(&mut self, x: u32) -> &mut XBlock {
+        // xsi-lint: allow(slice-index, X-block ids are xblocks indices: only pushes create them)
+        &mut self.xblocks[x as usize]
+    }
+
+    /// Unlinks the smaller of compound `s`'s first two P-blocks (at most
+    /// half of `s`), requeues `s` if it is still compound, and gives the
+    /// P-block an X-block of its own.
+    fn take_splitter(&mut self, s: u32) -> u32 {
+        let size = |p: PBlock| p.end - p.start;
+        let b1 = self.xblock_mut(s).head;
+        let p1 = self.pblock(b1);
+        let b = if size(p1) <= size(self.pblock(p1.next)) {
+            b1
+        } else {
+            p1.next
+        };
+        let PBlock { prev, next, .. } = self.pblock(b);
+        match prev {
+            NONE => self.xblock_mut(s).head = next,
+            _ => self.pblock_mut(prev).next = next,
+        }
+        if next != NONE {
+            self.pblock_mut(next).prev = prev;
+        }
+        let xs = self.xblock_mut(s);
+        xs.len -= 1;
+        if xs.len >= 2 {
+            self.compound.push(s);
+        }
+        let x = self.xblocks.len() as u32;
+        self.xblocks.push(XBlock { head: b, len: 1 });
+        let p = self.pblock_mut(b);
+        (p.x, p.prev, p.next) = (x, NONE, NONE);
+        b
+    }
+
+    /// Splits every P-block that `marked` (distinct nodes) properly
+    /// intersects: the marked nodes are swapped to the front of their
+    /// segment and leave as a new P-block in the same X-block. O(|marked|).
+    fn split(&mut self, marked: &[u32]) {
+        for &x in marked {
+            let x = x as usize;
+            // xsi-lint: allow(slice-index, marked nodes are node ids below n)
+            let (b, i) = (self.block[x], self.pos[x]);
+            let p = self.pblock_mut(b);
+            let (j, first) = (p.mid, p.mid == p.start);
+            p.mid += 1;
+            if first {
+                self.touched.push(b);
+            }
+            // xsi-lint: allow(slice-index, i and j lie in b's segment of elems)
+            let y = self.elems[j as usize];
+            self.elems.swap(i as usize, j as usize);
+            // xsi-lint: allow(slice-index, x and y are node ids below n)
+            (self.pos[x], self.pos[y as usize]) = (j, i);
+        }
+        let mut touched = std::mem::take(&mut self.touched);
+        for b in touched.drain(..) {
+            let p = self.pblock(b);
+            if p.mid == p.end {
+                // Wholly marked: nothing splits.
+                self.pblock_mut(b).mid = p.start;
+                continue;
+            }
+            let nb = self.pblocks.len() as u32;
+            // xsi-lint: allow(slice-index, a P-block's segment lies within elems, which holds all n nodes)
+            for &x in &self.elems[p.start as usize..p.mid as usize] {
+                // xsi-lint: allow(slice-index, elems holds node ids below n)
+                self.block[x as usize] = nb;
+            }
+            self.pblock_mut(b).start = p.mid;
+            let xb = self.xblock_mut(p.x);
+            let head = xb.head;
+            (xb.head, xb.len) = (nb, xb.len + 1);
+            if xb.len == 2 {
+                self.compound.push(p.x);
+            }
+            self.pblock_mut(head).prev = nb;
+            self.pblocks.push(PBlock {
+                start: p.start,
+                mid: p.start,
+                end: p.mid,
+                x: p.x,
+                prev: NONE,
+                next: head,
+            });
+        }
+        self.touched = touched;
     }
 }
 
@@ -355,6 +665,52 @@ mod tests {
         cq.push(1, vec![5, 6]);
         let order: Vec<usize> = std::iter::from_fn(|| cq.pop_lowest().map(|(l, _)| l)).collect();
         assert_eq!(order, vec![0, 1, 2, 2]);
+    }
+
+    /// The solver's classes as sorted node lists, sorted.
+    fn classes(init: &[u32], offsets: &[u32], succ: &[u32]) -> Vec<Vec<u32>> {
+        let (class_of, n) = coarsest_stable_partition(init, offsets, succ);
+        let mut out = vec![Vec::new(); n];
+        for (x, &c) in (0u32..).zip(&class_of) {
+            out[c as usize].push(x);
+        }
+        out.sort();
+        out
+    }
+
+    #[test]
+    fn solver_on_empty_input() {
+        assert_eq!(coarsest_stable_partition(&[], &[0], &[]), (vec![], 0));
+    }
+
+    /// r → a1, a2, c; c → a3; a1 → y1, y3; a3 → y2, y3. The y's have
+    /// a-parents {a1}, {a3} and {a1, a3}; whichever a-block serves as
+    /// splitter B, the y with parents in both is told apart from the
+    /// one with parents in B alone only by the count split.
+    #[test]
+    fn solver_splits_by_remaining_parent_counts() {
+        let (r, a, c, y) = (0, 1, 2, 3);
+        let init = [r, a, a, c, a, y, y, y];
+        let offsets = [0, 3, 5, 5, 6, 8, 8, 8, 8];
+        let succ = [1, 2, 3, 5, 7, 4, 6, 7];
+        assert_eq!(
+            classes(&init, &offsets, &succ),
+            vec![
+                vec![0],
+                vec![1, 2],
+                vec![3],
+                vec![4],
+                vec![5],
+                vec![6],
+                vec![7]
+            ]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "malformed CSR")]
+    fn solver_rejects_a_successor_out_of_range() {
+        coarsest_stable_partition(&[0, 0], &[0, 1, 1], &[2]);
     }
 
     #[test]

@@ -121,8 +121,8 @@ pub enum SpanKind {
     /// One compound-block iteration of the paper's Fig. 7 loop
     /// (`process_compounds`), or one served work item of a merge fold.
     CompoundProcess,
-    /// One splitter scan over `Succ(extent)` (or a whole
-    /// `refine_to_fixpoint` run during builds).
+    /// One splitter scan over `Succ(extent)`, or one whole
+    /// `coarsest_stable_partition` solve during builds.
     KernelScan,
     /// The split phase of one index's maintenance (wraps exactly the
     /// region timed into `UpdateStats::split_nanos`).

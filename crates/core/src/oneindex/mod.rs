@@ -16,8 +16,6 @@ pub mod subgraph;
 
 use crate::kernel;
 use crate::partition::{BlockId, Partition};
-use crate::stats::UpdateStats;
-use std::collections::HashMap;
 use xsi_graph::{Graph, Label, NodeId};
 
 /// A 1-index over a [`Graph`].
@@ -37,35 +35,58 @@ pub struct OneIndex {
 }
 
 impl OneIndex {
-    /// Builds the minimum 1-index of `g` by partition refinement: start
-    /// from the label partition (A(0)) and split against every block's
-    /// successor set until the partition is stable with respect to itself,
-    /// re-queuing both halves of every split (Paige–Tarjan \[12\] worklist).
+    /// Builds the minimum 1-index of `g`: the coarsest stable refinement
+    /// of the label partition (A(0)), computed by the Paige–Tarjan solver
+    /// [`kernel::coarsest_stable_partition`] over the live nodes in
+    /// O(m log n). Blocks are allocated in the order of each class's
+    /// smallest `NodeId`, so block ids are canonical.
     pub fn build(g: &Graph) -> Self {
-        let mut p = Partition::new(g);
-        let mut by_label: HashMap<Label, BlockId> = HashMap::new();
-        for n in g.nodes() {
-            let b = *by_label
-                .entry(g.label(n))
-                .or_insert_with(|| p.new_block(g.label(n)));
-            p.attach_node(n, b);
+        let nodes: Vec<NodeId> = g.nodes().collect();
+        let mut local = vec![0u32; g.capacity()];
+        for (&n, i) in nodes.iter().zip(0u32..) {
+            // xsi-lint: allow(slice-index, live node ids are below the graph capacity local is sized to)
+            local[n.index()] = i;
         }
-        p.rebuild_counts(g);
-        let mut idx = OneIndex { p };
-        let seeds: Vec<BlockId> = idx.p.blocks().collect();
-        idx.refine_blocks(g, &seeds);
+        let local = &local;
+        let edges: Vec<(u32, u32)> = nodes
+            .iter()
+            .zip(0u32..)
+            .flat_map(|(&u, i)| {
+                // xsi-lint: allow(slice-index, successors are live node ids below the graph capacity)
+                g.succ(u).map(move |v| (i, local[v.index()]))
+            })
+            .collect();
+        let mut idx = OneIndex {
+            p: Partition::new(g),
+        };
+        idx.attach_bisim_classes(g, &nodes, &edges);
+        idx.p.rebuild_counts(g);
         idx
     }
 
-    /// Refines the partition to a self-stable fixpoint through the shared
-    /// [`kernel`]: each seed block is scanned once, and every resulting
-    /// split is propagated by compound-queue processing (both halves of a
-    /// split are rescanned). Used by `build` over all blocks, and by
-    /// subgraph addition over just the new blocks.
-    pub(crate) fn refine_blocks(&mut self, g: &Graph, seeds: &[BlockId]) {
-        let mut cq = kernel::CompoundQueue::new(1);
-        let mut stats = UpdateStats::default();
-        kernel::refine_to_fixpoint(self, g, seeds, 0, &mut cq, &mut stats);
+    /// Attaches the unindexed `nodes` to fresh blocks, one per class of
+    /// the coarsest stable refinement of their labels over `edges` —
+    /// pairs of indices into `nodes`, grouped by source in ascending
+    /// order — allocated in the order of each class's first node. Leaves
+    /// iedge counts to the caller.
+    pub(crate) fn attach_bisim_classes(
+        &mut self,
+        g: &Graph,
+        nodes: &[NodeId],
+        edges: &[(u32, u32)],
+    ) {
+        let labels: Vec<u32> = nodes.iter().map(|&n| g.label(n).index() as u32).collect();
+        let offsets: Vec<u32> = (0..=nodes.len() as u32)
+            .map(|u| edges.partition_point(|e| e.0 < u) as u32)
+            .collect();
+        let succ: Vec<u32> = edges.iter().map(|e| e.1).collect();
+        let (class_of, classes) = kernel::coarsest_stable_partition(&labels, &offsets, &succ);
+        let mut block_of: Vec<Option<BlockId>> = vec![None; classes];
+        for (&n, &c) in nodes.iter().zip(&class_of) {
+            // xsi-lint: allow(slice-index, the solver returns class ids below its class count)
+            let b = *block_of[c as usize].get_or_insert_with(|| self.p.new_block(g.label(n)));
+            self.p.attach_node(n, b);
+        }
     }
 
     /// Number of inodes.

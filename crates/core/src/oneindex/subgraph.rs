@@ -12,10 +12,8 @@
 //! edge-deletion algorithm and the isolated nodes are then detached, so
 //! the index stays minimal throughout.
 
-use crate::partition::BlockId;
 use crate::stats::UpdateStats;
-use std::collections::HashMap;
-use xsi_graph::{DetachedSubgraph, Graph, GraphError, Label, NodeId};
+use xsi_graph::{DetachedSubgraph, Graph, GraphError, NodeId};
 
 use super::OneIndex;
 
@@ -54,27 +52,21 @@ impl OneIndex {
         let map = sub.instantiate(g)?;
         self.p.ensure_capacity(g);
 
-        // Build the 1-index of the new subgraph in place: label-partition
-        // its nodes into fresh blocks, register internal-edge counts, then
-        // refine those blocks to a self-stable fixpoint. With no boundary
-        // edges yet, splitter scans never leave the subgraph, so this is
-        // exactly "build Φ'(G') and union it with Φ(G)".
-        let mut by_label: HashMap<Label, BlockId> = HashMap::new();
-        for &n in &map {
-            let b = *by_label
-                .entry(g.label(n))
-                .or_insert_with(|| self.p.new_block(g.label(n)));
-            self.p.attach_node(n, b);
-        }
+        // Build the 1-index of the new subgraph in place: solve its
+        // internal edges alone, attach one fresh block per class, then
+        // register the internal-edge counts. With no boundary edges yet,
+        // this is exactly "build Φ'(G') and union it with Φ(G)", at
+        // O(subgraph) cost.
+        let mut edges: Vec<(u32, u32)> = sub
+            .internal_edges()
+            .iter()
+            .map(|&(u, v, _)| (u, v))
+            .collect();
+        edges.sort_unstable();
+        self.attach_bisim_classes(g, &map, &edges);
         for &(lu, lv, _) in sub.internal_edges() {
             self.p.on_edge_inserted(map[lu as usize], map[lv as usize]);
         }
-        // Sort the fresh blocks before refining: worklist order decides
-        // the order splits allocate new blocks, so it must not depend on
-        // hash state for block IDs to be reproducible.
-        let mut seeds: Vec<BlockId> = by_label.values().copied().collect();
-        seeds.sort_unstable();
-        self.refine_blocks(g, &seeds);
 
         let mut stats = UpdateStats {
             no_op: false,

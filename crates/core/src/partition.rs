@@ -7,8 +7,8 @@
 //!
 //! * **extents** — each block's dnodes live in an [`Extents`] run,
 //!   with a global position table enabling O(1) swap-remove moves (the
-//!   inner loop of Paige–Tarjan refinement and of the incremental split
-//!   phase);
+//!   inner loop of the incremental split phase; construction solves
+//!   over plain arrays in `kernel` and attaches each node once);
 //! * **iedge multiplicity maps** — each block counts, per neighbor block,
 //!   the number of dedges between the extents, in an adaptive
 //!   [`IedgeMap`] (inline sorted array for the common low-degree case,

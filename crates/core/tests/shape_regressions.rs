@@ -7,10 +7,16 @@
 //! cycle chains — where specific behaviours (huge sibling fan-out,
 //! cascading splits to depth n, simultaneous multi-block merges,
 //! self-iedge blocks) must hold.
+//!
+//! The construction tests at the end build the 1-index of deep shapes
+//! from scratch, check it against the reference bisimulation, and bound
+//! the Paige–Tarjan solver's work by doubling sweeps over its
+//! `KernelScan` counters.
 
 use xsi_core::check::{is_minimal_1index, minimality_violation};
+use xsi_core::obs::span::{self, SpanKind};
 use xsi_core::{reference, AkIndex, OneIndex};
-use xsi_graph::{EdgeKind, Graph, NodeId};
+use xsi_graph::{DetachedSubgraph, EdgeKind, Graph, NodeId};
 
 fn assert_one_index_minimum(g: &Graph, idx: &OneIndex) {
     idx.partition().check_consistency(g).unwrap();
@@ -265,4 +271,186 @@ fn self_iedge_block_updates() {
     // Reconstruction is the escape hatch the paper prescribes.
     let rebuilt = xsi_core::rebuild::reconstruct_1index(&g, &idx);
     assert_eq!(rebuilt.block_count(), 3);
+}
+
+/// Adds a `label` child under `parent`.
+fn child(g: &mut Graph, parent: NodeId, label: &str) -> NodeId {
+    let n = g.add_node(label, None);
+    g.insert_edge(parent, n, EdgeKind::Child).unwrap();
+    n
+}
+
+/// A chain of `n` elements under the root, labelled cyclically from
+/// `labels`; returns the graph and the chain in order.
+fn chain(labels: &[&str], n: usize) -> (Graph, Vec<NodeId>) {
+    let mut g = Graph::new();
+    let mut prev = g.root();
+    let nodes = (0..n)
+        .map(|i| {
+            prev = child(&mut g, prev, labels[i % labels.len()]);
+            prev
+        })
+        .collect();
+    (g, nodes)
+}
+
+/// `teeth` single-label chains of `depth` under one `comb` element: one
+/// class per depth, plus the root and the comb.
+fn comb(teeth: usize, depth: usize) -> Graph {
+    let mut g = Graph::new();
+    let root = g.root();
+    let comb = child(&mut g, root, "comb");
+    for _ in 0..teeth {
+        let mut prev = comb;
+        for _ in 0..depth {
+            prev = child(&mut g, prev, "t");
+        }
+    }
+    g
+}
+
+/// Builds the 1-index of `g` and checks it is the minimum: equal to the
+/// reference bisimulation, and minimal.
+fn build_checked(g: &Graph) -> OneIndex {
+    let idx = OneIndex::build(g);
+    assert_one_index_minimum(g, &idx);
+    idx
+}
+
+#[test]
+fn build_single_label_chain() {
+    let (g, _) = chain(&["a"], 1000);
+    assert_eq!(build_checked(&g).block_count(), 1001);
+}
+
+#[test]
+fn build_alternating_chain() {
+    let (g, _) = chain(&["a", "b"], 1000);
+    assert_eq!(build_checked(&g).block_count(), 1001);
+}
+
+#[test]
+fn build_comb_of_deep_teeth() {
+    let g = comb(30, 50);
+    assert_eq!(build_checked(&g).block_count(), 2 + 50);
+}
+
+/// A single-label chain whose tail references its head by IDREF: the
+/// head is the only node with two parents, so every node is its own
+/// class.
+#[test]
+fn build_long_idref_cycle() {
+    let (mut g, nodes) = chain(&["c"], 1000);
+    g.insert_edge(nodes[999], nodes[0], EdgeKind::IdRef)
+        .unwrap();
+    assert_eq!(build_checked(&g).block_count(), 1001);
+}
+
+/// IDREF fan-in star: `hub` has 300 `p` parents spread over five blocks
+/// (the `p`s hang under anchors at five depths), `other` has the `p`s of
+/// four of them. The refinement has to tell the two apart by the count
+/// of parents left in the rest of a compound, not by a parent in the
+/// splitter alone.
+#[test]
+fn build_idref_fan_in_star() {
+    let mut g = Graph::new();
+    let root = g.root();
+    let hub = child(&mut g, root, "hub");
+    let other = child(&mut g, root, "hub");
+    for group in 0..5 {
+        let mut anchor = root;
+        for _ in 0..=group {
+            anchor = child(&mut g, anchor, "g");
+        }
+        for _ in 0..60 {
+            let p = child(&mut g, anchor, "p");
+            g.insert_edge(p, hub, EdgeKind::IdRef).unwrap();
+            if group < 4 {
+                g.insert_edge(p, other, EdgeKind::IdRef).unwrap();
+            }
+        }
+    }
+    child(&mut g, hub, "leaf");
+    child(&mut g, other, "leaf");
+    let idx = build_checked(&g);
+    assert_ne!(idx.block_of(hub), idx.block_of(other));
+    // ROOT, 2 hubs, 5 anchors, 5 p-blocks, 2 leaves.
+    assert_eq!(idx.block_count(), 15);
+}
+
+/// Diamond lattice: 500 layers of an {a, b} pair, each node pointing at
+/// both nodes of the next layer — one class per (layer, label).
+#[test]
+fn build_diamond_lattice() {
+    let mut g = Graph::new();
+    let mut layer = vec![g.root()];
+    for _ in 0..500 {
+        let next = [g.add_node("a", None), g.add_node("b", None)];
+        for &u in &layer {
+            for &v in &next {
+                g.insert_edge(u, v, EdgeKind::Child).unwrap();
+            }
+        }
+        layer = next.to_vec();
+    }
+    assert_eq!(build_checked(&g).block_count(), 1 + 2 * 500);
+}
+
+/// Figure 6 on a deep graft: an 800-deep chain (with a side leaf every
+/// tenth node and an IDREF out of its tail) hung under a host chain. The
+/// maintained index must end equal to a fresh build of the final graph.
+#[test]
+fn add_subgraph_grafts_a_deep_chain() {
+    let (mut g, host) = chain(&["a"], 200);
+    let mut idx = OneIndex::build(&g);
+    let mut sub = DetachedSubgraph::new();
+    let mut prev = sub.add_node("a", None);
+    let top = prev;
+    for i in 1..800 {
+        let n = sub.add_node("a", None);
+        sub.add_edge(prev, n, EdgeKind::Child);
+        if i % 10 == 0 {
+            let leaf = sub.add_node("leaf", None);
+            sub.add_edge(n, leaf, EdgeKind::Child);
+        }
+        prev = n;
+    }
+    sub.incoming.push((host[49], top, EdgeKind::Child));
+    sub.outgoing.push((prev, host[150], EdgeKind::IdRef));
+    idx.add_subgraph(&mut g, &sub).unwrap();
+    assert_one_index_minimum(&g, &idx);
+    assert_eq!(idx.canonical(), OneIndex::build(&g).canonical());
+}
+
+/// The `elems` (dedges scanned) of the `KernelScan` spans one
+/// `OneIndex::build` of `g` opens.
+fn build_scan_elems(g: &Graph) -> u64 {
+    span::begin_collection();
+    let idx = OneIndex::build(g);
+    let elems = span::end_collection()
+        .kind_counters(SpanKind::KernelScan)
+        .elems;
+    assert!(idx.block_count() > 1);
+    elems
+}
+
+/// Paige–Tarjan scans O(m log n) dedges; the old worklist scanned Θ(n²)
+/// on a chain (ratio 4 per doubling). Doubling the input must at most
+/// about double the scanned dedges — checked on counters, not timings.
+#[test]
+fn build_scan_work_doubles_with_size() {
+    let chains: Vec<u64> = [5_000, 10_000, 20_000]
+        .iter()
+        .map(|&n| build_scan_elems(&chain(&["a"], n).0))
+        .collect();
+    let combs: Vec<u64> = [50, 100]
+        .iter()
+        .map(|&teeth| build_scan_elems(&comb(teeth, 100)))
+        .collect();
+    for sweep in [&chains, &combs] {
+        for w in sweep.windows(2) {
+            let ratio = w[1] as f64 / w[0] as f64;
+            assert!(ratio <= 2.3, "scan work ratio {ratio:.2} on {sweep:?}");
+        }
+    }
 }

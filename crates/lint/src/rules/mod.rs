@@ -193,9 +193,10 @@ instrumentation facts (DESIGN.md §8); metrics are derived from them.
 
 Checked entry points: in `core/src/kernel.rs`, every `pub fn` that \
 threads `UpdateStats` (the driver surface — `process_compounds`, \
-`refine_to_fixpoint`, `merge_fold`; `CompoundQueue` plumbing is \
-exempt); in `core/src/oneindex/maintain.rs`, \
-`core/src/akindex/maintain.rs` and `core/src/engine.rs`, every `pub fn` \
+`merge_fold`; `CompoundQueue` plumbing is exempt) and the \
+construction solver `coarsest_stable_partition`; in \
+`core/src/oneindex/maintain.rs`, `core/src/akindex/maintain.rs` and \
+`core/src/engine.rs`, every `pub fn` \
 taking `&mut self`; in `core/src/engine.rs` also every `pub fn \
 freeze*` regardless of receiver. The function must reference the span \
 vocabulary (`SpanGuard`, `enter`, `enter_family`, `SpanKind`, or a \

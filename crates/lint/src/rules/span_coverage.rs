@@ -21,6 +21,10 @@ const MAINTAINER_SUFFIXES: &[&str] = &[
     "core/src/akindex/maintain.rs",
 ];
 
+/// The kernel's from-scratch Paige–Tarjan solver: it threads no
+/// `UpdateStats`, but owes its `KernelScan` span like the drivers.
+const KERNEL_SOLVER: &str = "coarsest_stable_partition";
+
 /// Identifiers that count as "opens a span": the guard type, its
 /// constructors, or the module-level collection helpers. A bare `span`
 /// binder also counts — the kernel names its aggregate guards that way.
@@ -46,16 +50,20 @@ pub fn run(f: &SourceFile, out: &mut Vec<Finding>) {
             if !f.is_test_line(line) {
                 if let Some((body_open, body_close)) = fn_body_span(toks, i + 2) {
                     let sig = &toks[i + 3..body_open]; // xsi-lint: allow(slice-index, fn_body_span returns body_open past the name token)
-                                                       // Kernel: the driver entry points are exactly the pub
-                                                       // fns threading `UpdateStats` (process_compounds,
-                                                       // refine_to_fixpoint, merge_fold); queue plumbing is
-                                                       // exempt. Maintainers: every pub `&mut self` driver.
-                                                       // Engine: every pub `&mut self` entry point, plus any
-                                                       // `freeze*` whatever its receiver — a read-only
-                                                       // freeze still owes its Freeze span.
+
+                    // Kernel: the driver entry points are exactly the pub
+                    // fns threading `UpdateStats` (process_compounds,
+                    // merge_fold), plus the construction solver; queue
+                    // plumbing is exempt. Maintainers: every pub
+                    // `&mut self` driver. Engine: every pub `&mut self`
+                    // entry point, plus any `freeze*` whatever its
+                    // receiver — a read-only freeze still owes its Freeze
+                    // span.
                     let is_entry = if is_kernel {
-                        sig.iter()
-                            .any(|t| t.kind == TokKind::Ident && t.text == "UpdateStats")
+                        name == KERNEL_SOLVER
+                            || sig
+                                .iter()
+                                .any(|t| t.kind == TokKind::Ident && t.text == "UpdateStats")
                     } else {
                         takes_mut_self(sig) || (is_engine && name.starts_with("freeze"))
                     };
@@ -157,6 +165,15 @@ mod tests {
         let src = "pub fn process<D: SplitDriver>(d: &mut D, stats: &mut UpdateStats) { \
                    let sp = SpanGuard::enter(SpanKind::KernelScan); d.scan(); drop(sp); }";
         assert!(lint_at("crates/core/src/kernel.rs", src).is_empty());
+    }
+
+    #[test]
+    fn kernel_solver_without_span_flagged() {
+        let src = "pub fn coarsest_stable_partition(init: &[u32], offs: &[u32], succ: &[u32]) \
+                   -> (Vec<u32>, usize) { solve(init, offs, succ) }";
+        let hits = lint_at("crates/core/src/kernel.rs", src);
+        assert_eq!(hits.len(), 1);
+        assert!(hits[0].message.contains("coarsest_stable_partition"));
     }
 
     #[test]
