@@ -16,7 +16,11 @@
 //! * `1index_build_chain` / `1index_build_comb` (tier 2): 1-index
 //!   construction on a 4,000-deep single-label chain and on a comb of 40
 //!   single-label teeth 100 deep — the deep shapes on which a naive
-//!   refinement worklist goes quadratic.
+//!   refinement worklist goes quadratic;
+//! * `subtree_remove_wide` (tier 2): one `movie` subtree removed and
+//!   re-added, as two batches over a 1-index and an A(2), under a root
+//!   whose one inode holds 10,000 movies — the split step that must scan
+//!   only the singled-out movie, not the other 9,999.
 //!
 //! Usage: `xsi_perf_smoke [--scale 0.05] [--seed 42] [--json out.json]
 //! [--bench-out BENCH.json] [--metrics-out m.json]`.
@@ -39,7 +43,9 @@ use xsi_bench::micro::{bench_value, group, MicroResult};
 use xsi_bench::Args;
 use xsi_core::obs::postmortem;
 use xsi_core::obs::span::{self, SpanKind, SpanTree};
-use xsi_core::{AkIndex, OneIndex, StructuralIndex, UpdateEngine};
+use xsi_core::{
+    apply_batch_traced, AkIndex, NodeRef, OneIndex, StructuralIndex, UpdateEngine, UpdateOp,
+};
 use xsi_graph::{EdgeKind, Graph, NodeId};
 use xsi_query::{eval_index_raw, PathExpr};
 use xsi_workload::{generate_xmark, EdgePool, XmarkParams};
@@ -122,6 +128,43 @@ fn comb_graph(teeth: usize, depth: usize) -> Graph {
         (0..depth).fold(comb, |prev, _| add(&mut g, prev, "t"));
     }
     g
+}
+
+/// `n` `movie` elements under the root, each with a `title` and a
+/// `year` child; returns the graph and the last movie.
+fn wide_siblings(n: usize) -> (Graph, NodeId) {
+    let mut g = Graph::new();
+    let root = g.root();
+    let mut last = root;
+    for _ in 0..n {
+        last = g.add_node("movie", None);
+        g.insert_edge(root, last, EdgeKind::Child).unwrap(); // xsi-lint: allow(panic-unwrap, bench harness aborts loudly on a broken workload)
+        for label in ["title", "year"] {
+            let c = g.add_node(label, None);
+            g.insert_edge(last, c, EdgeKind::Child).unwrap(); // xsi-lint: allow(panic-unwrap, bench harness aborts loudly on a broken workload)
+        }
+    }
+    (g, last)
+}
+
+/// The batch that adds one `movie` subtree of [`wide_siblings`] under
+/// `root`.
+fn add_movie(root: NodeId) -> Vec<UpdateOp> {
+    let edge = |from, to| UpdateOp::InsertEdge {
+        from,
+        to,
+        kind: EdgeKind::Child,
+    };
+    let mut batch: Vec<UpdateOp> = ["movie", "title", "year"]
+        .iter()
+        .map(|&label| UpdateOp::AddNode {
+            label: label.into(),
+        })
+        .collect();
+    batch.push(edge(NodeRef::Existing(root), NodeRef::New(0)));
+    batch.push(edge(NodeRef::New(0), NodeRef::New(1)));
+    batch.push(edge(NodeRef::New(0), NodeRef::New(2)));
+    batch
 }
 
 fn write_artifact(path: &str, contents: &str, what: &str) {
@@ -245,6 +288,29 @@ fn run(args: &Args) {
         let r = bench_value(name, &mut build);
         let c = if want_counters {
             instrumented(&mut build)
+        } else {
+            SpanSummary::default()
+        };
+        results.push((r, c));
+    }
+    {
+        let (mut g, mut movie) = wide_siblings(10_000);
+        let mut one = OneIndex::build(&g);
+        let mut ak = AkIndex::build(&g, 2);
+        let mut work = || {
+            let remove: Vec<UpdateOp> = std::iter::once(movie)
+                .chain(g.succ(movie))
+                .map(|node| UpdateOp::RemoveNode { node })
+                .collect();
+            let add = add_movie(g.root());
+            let mut both: [&mut dyn StructuralIndex; 2] = [&mut one, &mut ak];
+            apply_batch_traced(&mut both, &mut g, &remove).unwrap(); // xsi-lint: allow(panic-unwrap, bench harness aborts loudly on a broken workload)
+            let (added, _) = apply_batch_traced(&mut both, &mut g, &add).unwrap(); // xsi-lint: allow(panic-unwrap, bench harness aborts loudly on a broken workload)
+            movie = added.created[0]; // xsi-lint: allow(slice-index, the add batch creates three nodes)
+        };
+        let r = bench_value("subtree_remove_wide", &mut work);
+        let c = if want_counters {
+            instrumented(&mut work)
         } else {
             SpanSummary::default()
         };

@@ -40,6 +40,7 @@ use super::{ABlockId, AkIndex};
 use crate::kernel::{self, CompoundQueue, MergeDriver, SplitDriver};
 use crate::obs::span::{SpanGuard, SpanKind};
 use crate::stats::UpdateStats;
+use crate::store::ScratchTable;
 use xsi_graph::{EdgeKind, Graph, GraphError, NodeId};
 
 impl SplitDriver for AkIndex {
@@ -49,8 +50,17 @@ impl SplitDriver for AkIndex {
         self.weight(b)
     }
 
-    fn scan_succ(&mut self, g: &Graph, roots: &[ABlockId]) -> Vec<NodeId> {
-        self.collect_succ(g, roots)
+    fn block_at(&self, n: NodeId, level: usize) -> ABlockId {
+        self.block_of_at(n, level)
+    }
+
+    fn scan_succ(&mut self, g: &Graph, b: ABlockId) -> Vec<NodeId> {
+        self.collect_succ(g, b)
+    }
+
+    /// `split_levels_by`'s fully-covered flags, which it resets on entry.
+    fn slot_marks(&mut self) -> &mut ScratchTable<bool> {
+        &mut self.split_full
     }
 
     fn stabilize(

@@ -762,13 +762,13 @@ impl AkIndex {
         self.release_block(src);
     }
 
-    /// Collects the deduplicated dnode successors of the extents under the
-    /// given blocks (any levels).
-    pub(crate) fn collect_succ(&mut self, g: &Graph, roots: &[ABlockId]) -> Vec<NodeId> {
+    /// Collects the deduplicated dnode successors of the extents under
+    /// block `root` (any level).
+    pub(crate) fn collect_succ(&mut self, g: &Graph, root: ABlockId) -> Vec<NodeId> {
         self.epoch += 1;
         let epoch = self.epoch;
         let mut out = Vec::new();
-        let mut stack: Vec<ABlockId> = roots.to_vec();
+        let mut stack = vec![root];
         while let Some(b) = stack.pop() {
             if self.blocks[b].level as usize == self.k {
                 for &u in self.extents.extent(b) {

@@ -5,17 +5,19 @@
 //!
 //! Before this module, `oneindex/maintain.rs` and `akindex/maintain.rs`
 //! each carried a private compound queue, a private copy of the
-//! "extract smallest member, re-enqueue the rest, stabilize against both
-//! splitter scans" loop, and a private copy of the "group successors by
+//! propagation loop, and a private copy of the "group successors by
 //! merge key, fold each group, requeue survivors" loop. The mechanics
 //! were line-for-line parallel; only the primitive operations differed
 //! (flat partition vs refinement tree). The kernel factors the mechanics
 //! into two small traits:
 //!
-//! * [`SplitDriver`] — weights, splitter scans, and the family-specific
-//!   stabilization primitive (`split_by_set` for the 1-index,
-//!   `split_levels_by` for the A(k) chain). [`process_compounds`] runs
-//!   the propagation loop over a [`CompoundQueue`].
+//! * [`SplitDriver`] — weights, the block holding a node at a level, the
+//!   splitter scan `Succ(I)`, a block-slot flag table, and the
+//!   family-specific stabilization primitive (`split_by_set` for the
+//!   1-index, `split_levels_by` for the A(k) chain).
+//!   [`process_compounds`] runs the propagation loop over a
+//!   [`CompoundQueue`]: each step scans `Succ(I)` of the small member I
+//!   only and splits three ways, never reading the rest's extents.
 //! * [`MergeDriver`] — successor enumeration, the merge-equivalence key,
 //!   and the family-specific group merge. [`merge_fold`] runs the
 //!   worklist.
@@ -33,6 +35,7 @@
 
 use crate::obs::span::{SpanGuard, SpanKind};
 use crate::stats::UpdateStats;
+use crate::store::{ScratchTable, SlotKey};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt::Debug;
 use xsi_graph::{Graph, NodeId};
@@ -148,12 +151,18 @@ impl<K: Copy + Ord + Debug> CompoundQueue<K> {
 /// partial split, `replace` when the original dies).
 pub trait SplitDriver {
     /// The family's block handle.
-    type Block: Copy + Ord + Debug;
+    type Block: SlotKey;
     /// Number of dnodes under `b` (extent size or subtree weight).
     fn weight_of(&self, b: Self::Block) -> usize;
-    /// The deduplicated dnode successors of the extents under `roots` —
-    /// the splitter set `Succ(·)`.
-    fn scan_succ(&mut self, g: &Graph, roots: &[Self::Block]) -> Vec<NodeId>;
+    /// The block holding dnode `n` at `level` (un-leveled families ignore
+    /// `level`).
+    fn block_at(&self, n: NodeId, level: usize) -> Self::Block;
+    /// The deduplicated dnode successors of the extent under `b` — the
+    /// splitter set `Succ(b)`.
+    fn scan_succ(&mut self, g: &Graph, b: Self::Block) -> Vec<NodeId>;
+    /// A flag table keyed by block slot that the kernel fills and reads
+    /// between two `stabilize` calls; `stabilize` may reuse it.
+    fn slot_marks(&mut self) -> &mut ScratchTable<bool>;
     /// Stabilizes the partition against `marked`, where `level` is the
     /// splitter's level (un-leveled families ignore it).
     fn stabilize(
@@ -168,13 +177,22 @@ pub trait SplitDriver {
 
 /// The Paige–Tarjan propagation loop: repeatedly extract the
 /// lowest-level compound, remove a small member `I`, re-enqueue the rest
-/// if still compound, and stabilize the partition against `Succ(I)` and
-/// `Succ(rest)`.
+/// if still compound, and split the partition three ways against
+/// `Succ(I)` alone.
 ///
-/// The loop invariant — every block is stable w.r.t. the *union* of each
-/// queued compound — means blocks outside `ISucc(I)` are entirely inside
-/// or outside both splitter sets, so the two stabilization scans touch
-/// exactly the blocks the paper's three-way split (K₁₁/K₁₂/K₂) does.
+/// The loop invariant is that every block is stable w.r.t. the *union*
+/// of each queued compound. So a block outside `Succ(I)` lies wholly
+/// inside `Succ(rest)` or wholly outside it, and only blocks inside
+/// `Succ(I)` can split: by `Succ(I)`, then by `Succ(I) ∩ Succ(rest)`
+/// (the paper's K₁₁/K₁₂/K₂). The second set is found by probing the
+/// parents of each `x ∈ Succ(I)` for one in rest, so a step costs
+/// O(Σ_{x∈Succ(I)} indeg(x)) and never reads rest's extents. A node
+/// alone in its block one level below the splitter (its 1-index inode,
+/// its A(j+1) inode for a level-j compound) cannot split, and is not
+/// probed.
+///
+/// One `KernelScan` span per step: `blocks` is 1 (I), `elems` counts
+/// `Succ(I)` plus the parents probed.
 pub fn process_compounds<D: SplitDriver>(
     d: &mut D,
     g: &Graph,
@@ -184,7 +202,7 @@ pub fn process_compounds<D: SplitDriver>(
     stats.queue_peak = stats.queue_peak.max(cq.work_size());
     while let Some((level, mut compound)) = cq.pop_lowest() {
         // One CompoundProcess span per Fig. 7 iteration: the whole
-        // extract/re-enqueue/double-scan body is in-span so the span
+        // extract/re-enqueue/three-way-split body is in-span so the span
         // sum accounts for (nearly) the whole split phase.
         let sp = SpanGuard::enter(SpanKind::CompoundProcess);
         sp.add_blocks(compound.len() as u64);
@@ -197,27 +215,57 @@ pub fn process_compounds<D: SplitDriver>(
             .expect("invariant: compound splitters contain at least one block");
         let small = compound.swap_remove(min_pos);
         let rest = compound;
+        let scan = SpanGuard::enter(SpanKind::KernelScan);
+        let splitter = d.scan_succ(g, small);
+        // Decided before either stabilize, while rest's blocks are still
+        // the compound as popped: a 1-index stabilize can split them.
+        let (both, probes) = succ_in_rest(d, g, &splitter, &rest, level);
         if rest.len() >= 2 {
-            cq.push(level, rest.clone());
+            cq.push(level, rest);
         }
-        {
-            let scan = SpanGuard::enter(SpanKind::KernelScan);
-            let splitter = d.scan_succ(g, &[small]);
-            scan.add_blocks(1);
-            scan.add_elems(splitter.len() as u64);
-            sp.add_elems(splitter.len() as u64);
-            d.stabilize(g, &splitter, level, cq, stats);
-        }
-        {
-            let scan = SpanGuard::enter(SpanKind::KernelScan);
-            let splitter = d.scan_succ(g, &rest);
-            scan.add_blocks(rest.len() as u64);
-            scan.add_elems(splitter.len() as u64);
-            sp.add_elems(splitter.len() as u64);
-            d.stabilize(g, &splitter, level, cq, stats);
-        }
+        let elems = (splitter.len() + probes) as u64;
+        scan.add_blocks(1);
+        scan.add_elems(elems);
+        sp.add_elems(elems);
+        d.stabilize(g, &splitter, level, cq, stats);
+        d.stabilize(g, &both, level, cq, stats);
         stats.queue_peak = stats.queue_peak.max(cq.work_size());
     }
+}
+
+/// `Succ(I) ∩ Succ(rest)` for the splitter `succ_i = Succ(I)` and the
+/// level-`level` blocks `rest`, plus the number of parents probed. A
+/// node whose level-`level + 1` block holds only itself is left out
+/// unprobed: no stabilization can split a singleton, so a high
+/// in-degree hub alone in its block costs nothing here.
+fn succ_in_rest<D: SplitDriver>(
+    d: &mut D,
+    g: &Graph,
+    succ_i: &[NodeId],
+    rest: &[D::Block],
+    level: usize,
+) -> (Vec<NodeId>, usize) {
+    let marks = d.slot_marks();
+    marks.begin();
+    for &b in rest {
+        marks.set(b.idx(), true);
+    }
+    let mut both = Vec::new();
+    let mut probes = 0;
+    for &x in succ_i {
+        if d.weight_of(d.block_at(x, level + 1)) == 1 {
+            continue;
+        }
+        for p in g.pred(x) {
+            probes += 1;
+            let b = d.block_at(p, level);
+            if d.slot_marks().get(b.idx()) == Some(true) {
+                both.push(x);
+                break;
+            }
+        }
+    }
+    (both, probes)
 }
 
 /// "No block, no record" in the solver's `u32` tables.

@@ -5,9 +5,10 @@
 //!
 //! * the **split phase** restores correctness: if the updated node `v` is
 //!   no longer bisimilar to the rest of its inode, it is singled out, and
-//!   the split is propagated with Paige–Tarjan compound-block processing
-//!   (stabilize against the small half `Succ(I)` and against the rest
-//!   `Succ(𝓘 − {I})`);
+//!   the split is propagated with Paige–Tarjan compound-block processing:
+//!   each step scans only the small half's successors `Succ(I)` and
+//!   splits three ways, by `Succ(I)` and then by those of its nodes that
+//!   also have a parent in the rest `𝓘 − {I}`;
 //! * the **merge phase** restores minimality: starting from `I[v]`, merge
 //!   any inode with a label-and-index-parent twin, then iteratively
 //!   consider the index successors of freshly merged inodes.
@@ -32,6 +33,7 @@ use crate::kernel::{self, CompoundQueue, MergeDriver, SplitDriver};
 use crate::obs::span::{SpanGuard, SpanKind};
 use crate::partition::BlockId;
 use crate::stats::UpdateStats;
+use crate::store::ScratchTable;
 use xsi_graph::{EdgeKind, Graph, GraphError, NodeId};
 
 use super::OneIndex;
@@ -43,8 +45,16 @@ impl SplitDriver for OneIndex {
         self.p.size(b)
     }
 
-    fn scan_succ(&mut self, g: &Graph, roots: &[BlockId]) -> Vec<NodeId> {
-        self.p.collect_succ(g, roots)
+    fn block_at(&self, n: NodeId, _level: usize) -> BlockId {
+        self.p.block_of(n)
+    }
+
+    fn scan_succ(&mut self, g: &Graph, b: BlockId) -> Vec<NodeId> {
+        self.p.collect_succ(g, &[b])
+    }
+
+    fn slot_marks(&mut self) -> &mut ScratchTable<bool> {
+        self.p.slot_marks()
     }
 
     fn stabilize(
@@ -420,6 +430,32 @@ mod tests {
         assert!(!stats.no_op);
         assert_ne!(idx.block_of(ids[&2]), idx.block_of(ids[&3]));
         assert_minimal(&g, &idx);
+        assert_matches_reference(&g, &idx);
+    }
+
+    /// The three-way split: singling `a2` out of {a1, a2} leaves I = {a1}
+    /// (the smaller-or-equal half is the remainder), whose `Succ` covers
+    /// the whole {c1, c2} block. Only the second stabilization, against
+    /// the nodes of `Succ(I)` with a parent in the rest {a2}, tells c2
+    /// (parents a1, a2) from c1 (parent a1 alone).
+    #[test]
+    fn three_way_split_separates_succ_of_the_rest() {
+        let (mut g, ids) = xsi_graph::GraphBuilder::new()
+            .nodes(&[(1, "A"), (2, "A"), (3, "C"), (4, "C"), (5, "W")])
+            .edges(&[(1, 3), (1, 4), (2, 4)])
+            .root_to(1)
+            .root_to(2)
+            .root_to(5)
+            .build_with_ids();
+        let mut idx = OneIndex::build(&g);
+        assert_eq!(idx.block_of(ids[&3]), idx.block_of(ids[&4]));
+        idx.insert_edge(&mut g, ids[&5], ids[&2], EdgeKind::IdRef)
+            .unwrap();
+        assert_ne!(idx.block_of(ids[&3]), idx.block_of(ids[&4]));
+        assert_minimal(&g, &idx);
+        assert_matches_reference(&g, &idx);
+        idx.delete_edge(&mut g, ids[&5], ids[&2]).unwrap();
+        assert_eq!(idx.block_of(ids[&3]), idx.block_of(ids[&4]));
         assert_matches_reference(&g, &idx);
     }
 

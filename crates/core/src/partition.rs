@@ -420,6 +420,13 @@ impl Partition {
         out
     }
 
+    /// The per-block flag table of [`Partition::split_by_set`], lent to
+    /// the refinement kernel between splits; `split_by_set` resets it on
+    /// entry, so the two uses never overlap.
+    pub(crate) fn slot_marks(&mut self) -> &mut ScratchTable<bool> {
+        &mut self.split_flag
+    }
+
     /// Stabilizes the whole partition against the node set `marked`
     /// (typically `Succ` of a splitter): every block is split into its
     /// intersection with `marked` and the remainder; blocks entirely inside

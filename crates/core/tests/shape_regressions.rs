@@ -15,7 +15,7 @@
 
 use xsi_core::check::{is_minimal_1index, minimality_violation};
 use xsi_core::obs::span::{self, SpanKind};
-use xsi_core::{reference, AkIndex, OneIndex};
+use xsi_core::{apply_batch_traced, reference, AkIndex, NodeRef, OneIndex, UpdateOp};
 use xsi_graph::{DetachedSubgraph, EdgeKind, Graph, NodeId};
 
 fn assert_one_index_minimum(g: &Graph, idx: &OneIndex) {
@@ -453,4 +453,197 @@ fn build_scan_work_doubles_with_size() {
             assert!(ratio <= 2.3, "scan work ratio {ratio:.2} on {sweep:?}");
         }
     }
+}
+
+/// Both index families over one graph, driven as the engine drives them.
+struct Both {
+    one: OneIndex,
+    ak: AkIndex,
+}
+
+impl Both {
+    fn build(g: &Graph) -> Self {
+        Both {
+            one: OneIndex::build(g),
+            ak: AkIndex::build(g, 2),
+        }
+    }
+
+    /// Applies `batch` to both indexes through `apply_batch_traced` and
+    /// returns the `elems` of the `KernelScan` spans it opened.
+    fn apply(&mut self, g: &mut Graph, batch: &[UpdateOp]) -> u64 {
+        span::begin_collection();
+        apply_batch_traced(&mut [&mut self.one, &mut self.ak], g, batch).unwrap();
+        span::end_collection()
+            .kind_counters(SpanKind::KernelScan)
+            .elems
+    }
+
+    /// The 1-index is the reference bisimulation (the minimum a fresh
+    /// build gives) and the A(2) chain equals a fresh build of `g`.
+    fn assert_fresh(&self, g: &Graph) {
+        assert_one_index_minimum(g, &self.one);
+        self.ak.check_consistency(g).unwrap();
+        let fresh = AkIndex::build(g, self.ak.k()).chain_assignments(g);
+        for (level, (got, want)) in self.ak.chain_assignments(g).iter().zip(&fresh).enumerate() {
+            assert_eq!(
+                reference::canonical_partition(g, got),
+                reference::canonical_partition(g, want),
+                "A(2) level {level}"
+            );
+        }
+    }
+}
+
+/// `n` same-label `movie` subtrees (a `title` and a `year` each) under
+/// the root, so one inode holds all `n` movies; returns the movies.
+fn wide_siblings(n: usize) -> (Graph, Vec<NodeId>) {
+    let mut g = Graph::new();
+    let root = g.root();
+    let movies = (0..n)
+        .map(|_| {
+            let m = child(&mut g, root, "movie");
+            child(&mut g, m, "title");
+            child(&mut g, m, "year");
+            m
+        })
+        .collect();
+    (g, movies)
+}
+
+/// Removes movie `m`'s subtree and adds one of the same shape back, as
+/// two batches over both indexes; returns the pair's `KernelScan` elems.
+fn remove_and_readd_subtree(g: &mut Graph, idx: &mut Both, m: NodeId) -> u64 {
+    let remove: Vec<UpdateOp> = std::iter::once(m)
+        .chain(g.succ(m))
+        .map(|node| UpdateOp::RemoveNode { node })
+        .collect();
+    let mut elems = idx.apply(g, &remove);
+    idx.assert_fresh(g);
+    let edge = |from, to| UpdateOp::InsertEdge {
+        from,
+        to,
+        kind: EdgeKind::Child,
+    };
+    let add = [
+        UpdateOp::AddNode {
+            label: "movie".into(),
+        },
+        UpdateOp::AddNode {
+            label: "title".into(),
+        },
+        UpdateOp::AddNode {
+            label: "year".into(),
+        },
+        edge(NodeRef::Existing(g.root()), NodeRef::New(0)),
+        edge(NodeRef::New(0), NodeRef::New(1)),
+        edge(NodeRef::New(0), NodeRef::New(2)),
+    ];
+    elems += idx.apply(g, &add);
+    idx.assert_fresh(g);
+    elems
+}
+
+/// Removing one subtree singles its movie out of an inode of `n`. The
+/// three-way split scans `Succ` of the singled-out movie only, so the
+/// work per remove/re-add pair stays flat as `n` doubles; rescanning
+/// `Succ` of the rest of the inode doubled it (ratio 2.0).
+#[test]
+fn subtree_remove_work_is_flat_in_sibling_count() {
+    let elems: Vec<u64> = [2_500, 5_000, 10_000]
+        .iter()
+        .map(|&n| {
+            let (mut g, movies) = wide_siblings(n);
+            let mut idx = Both::build(&g);
+            remove_and_readd_subtree(&mut g, &mut idx, movies[n / 2])
+        })
+        .collect();
+    for w in elems.windows(2) {
+        let ratio = w[1] as f64 / w[0] as f64;
+        assert!(ratio <= 1.2, "scan work ratio {ratio:.2} on {elems:?}");
+    }
+}
+
+/// The nodes of [`fan_in_hub`] the toggles use.
+struct Hub {
+    hub: NodeId,
+    leaf: NodeId,
+    q: NodeId,
+    s: NodeId,
+}
+
+/// A `hub` under the root with `n` IDREF parents `x` (one inode), then
+/// two more IDREF parents `q` (a two-node inode); a two-node inode of
+/// `s` and one of four `leaf`s, all under the root.
+fn fan_in_hub(n: usize) -> (Graph, Hub) {
+    let mut g = Graph::new();
+    let root = g.root();
+    let hub = child(&mut g, root, "hub");
+    for _ in 0..n {
+        let x = child(&mut g, root, "x");
+        g.insert_edge(x, hub, EdgeKind::IdRef).unwrap();
+    }
+    let qs = [child(&mut g, root, "q"), child(&mut g, root, "q")];
+    for q in qs {
+        g.insert_edge(q, hub, EdgeKind::IdRef).unwrap();
+    }
+    let s = child(&mut g, root, "s");
+    child(&mut g, root, "s");
+    let leaf = child(&mut g, root, "leaf");
+    for _ in 0..3 {
+        child(&mut g, root, "leaf");
+    }
+    (
+        g,
+        Hub {
+            hub,
+            leaf,
+            q: qs[0],
+            s,
+        },
+    )
+}
+
+/// Inserts then deletes the IDREF `u → v` through both indexes, checking
+/// each against fresh builds; returns the `KernelScan` elems of each.
+fn toggle_idref(g: &mut Graph, idx: &mut Both, u: NodeId, v: NodeId) -> [u64; 2] {
+    let insert = idx.apply(
+        g,
+        &[UpdateOp::InsertEdge {
+            from: NodeRef::Existing(u),
+            to: NodeRef::Existing(v),
+            kind: EdgeKind::IdRef,
+        }],
+    );
+    idx.assert_fresh(g);
+    let delete = idx.apply(g, &[UpdateOp::DeleteEdge { from: u, to: v }]);
+    idx.assert_fresh(g);
+    [insert, delete]
+}
+
+/// A hub with thousands of IDREF parents, alone in its inode. Toggling
+/// an IDREF from a small-inode node to the hub, from the hub to a leaf,
+/// and into one of the hub's two `q` parents (which puts the hub in the
+/// splitter `Succ(I)` while its other `q` parent sits in the rest) must
+/// keep both indexes equal to fresh builds, and the per-update scan work
+/// must not grow with the hub's in-degree: a singleton block cannot
+/// split, so its parents are never probed.
+#[test]
+fn fan_in_hub_toggles_cost_no_hub_in_degree() {
+    let per_size: Vec<Vec<[u64; 2]>> = [5_000, 10_000, 20_000]
+        .iter()
+        .map(|&n| {
+            let (mut g, h) = fan_in_hub(n);
+            let mut idx = Both::build(&g);
+            idx.assert_fresh(&g);
+            [(h.s, h.hub), (h.hub, h.leaf), (h.s, h.q)]
+                .iter()
+                .map(|&(u, v)| toggle_idref(&mut g, &mut idx, u, v))
+                .collect()
+        })
+        .collect();
+    assert!(
+        per_size.windows(2).all(|w| w[0] == w[1]),
+        "per-update scan work grew with the hub's in-degree: {per_size:?}"
+    );
 }
